@@ -65,14 +65,15 @@ def _bench_trace():
     same operand pairs at the same pcs, so a healthy detector commits
     essentially the whole trace after training."""
     iters = -(-MIN_EVENTS // len(_BODY))  # ceil
-    batch = ColumnBatch()
     pc_base = 0x4000
-    for _ in range(iters):
-        for slot, (opcode, a, b) in enumerate(_BODY):
-            result = a * b if opcode is Opcode.FMUL else a / b
-            batch.append(
-                TraceEvent(opcode, a, b, result, pc=pc_base + 4 * slot)
-            )
+    batch = ColumnBatch.from_events(
+        TraceEvent(
+            opcode, a, b, a * b if opcode is Opcode.FMUL else a / b,
+            pc=pc_base + 4 * slot,
+        )
+        for _ in range(iters)
+        for slot, (opcode, a, b) in enumerate(_BODY)
+    )
     trace = Trace(columns=batch)
     trace.events  # materialize both views before anything is timed
     return trace

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = ["LineFit", "fit_line_lm", "pearson_r"]
 
@@ -46,6 +45,10 @@ def fit_line_lm(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     least-squares answer; we use LM anyway to mirror the paper's method
     (and to keep the door open for nonlinear models).
     """
+    # Imported here: scipy.optimize costs most of the CLI's start-up,
+    # and only Figure 2 fits a line.
+    from scipy.optimize import least_squares
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Optional
 
 from ..errors import TraceFormatError
@@ -392,17 +393,21 @@ def write_column_trace(
         return total
     # Plain event iterable: batch incrementally so memory stays bounded.
     total = 0
-    batch = ColumnBatch()
-    for event in source:
-        batch.append(event)
-        if len(batch) >= block_events:
-            _write_block(stream, batch, 0, len(batch))
-            total += len(batch)
-            batch = ColumnBatch()
-    if len(batch):
+    for batch in _event_blocks(iter(source), block_events):
         _write_block(stream, batch, 0, len(batch))
         total += len(batch)
     return total
+
+
+def _event_blocks(events: Iterator[TraceEvent], block_events: int):
+    """Group an event iterator into batches of ``block_events``."""
+    from .columns import ColumnBatch
+
+    while True:
+        batch = ColumnBatch.from_events(islice(events, block_events))
+        if not len(batch):
+            return
+        yield batch
 
 
 def _read_v3_blocks(stream: BinaryIO) -> Iterator["object"]:
@@ -498,7 +503,7 @@ def read_column_blocks(
     of ``block_events``.  This is the single entry point the corpus and
     the batched simulators read traces through.
     """
-    from .columns import ColumnBatch, DEFAULT_BATCH_EVENTS
+    from .columns import DEFAULT_BATCH_EVENTS
 
     if block_events is None:
         block_events = DEFAULT_BATCH_EVENTS
@@ -515,11 +520,4 @@ def read_column_blocks(
             f"bad magic {magic!r}; not a binary trace (expected "
             f"{BINARY_MAGIC!r}, {BINARY_MAGIC_V2!r} or {BINARY_MAGIC_V3!r})"
         )
-    batch = ColumnBatch()
-    for event in _read_records(stream, annotated):
-        batch.append(event)
-        if len(batch) >= block_events:
-            yield batch
-            batch = ColumnBatch()
-    if len(batch):
-        yield batch
+    yield from _event_blocks(_read_records(stream, annotated), block_events)

@@ -26,18 +26,25 @@ Encoding rules match the v2 binary format (:mod:`repro.isa.binfmt`):
 
 Batches reconstruct their events bit-exactly: NaN payloads, ``-0.0``
 and int64 corner values all survive the round trip.
+
+A :class:`ColumnAppender` is the one way events become columns.  It
+takes primitive fields (the recorder and the assembler machine call it
+directly, without building a :class:`TraceEvent`), keeps float operands
+as doubles and reinterprets each double column into its int64 bit
+column in one bulk copy when the batch is finished.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, cast
 
-from ..arch.ieee754 import bits_to_float64, float64_to_bits
+from ..arch.ieee754 import bits_to_float64
 from .opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
-from .trace import TraceEvent
+from .trace import Trace, TraceEvent
 
-__all__ = ["ColumnBatch", "ColumnBatchBuilder", "DEFAULT_BATCH_EVENTS"]
+__all__ = ["ColumnAppender", "ColumnBatch", "DEFAULT_BATCH_EVENTS"]
 
 #: Events per block in streaming/serialized form: large enough that the
 #: per-batch numpy fixed costs amortize, small enough to keep resident.
@@ -54,11 +61,6 @@ _F_WIDE = 16
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _signed(bits: int) -> int:
-    bits &= _U64_MASK
-    return bits - (1 << 64) if bits >> 63 else bits
 
 
 class _Views:
@@ -113,68 +115,13 @@ class ColumnBatch:
 
     # -- construction ------------------------------------------------------
 
-    def append(self, event: TraceEvent) -> None:
-        flags = 0
-        a = b = result = 0
-        ea, eb, er = event.a, event.b, event.result
-        if (
-            isinstance(ea, int) and isinstance(eb, int)
-            and isinstance(er, int)
-            and not (
-                isinstance(ea, bool) or isinstance(eb, bool)
-                or isinstance(er, bool)
-            )
-        ):
-            if (
-                _INT64_MIN <= ea <= _INT64_MAX
-                and _INT64_MIN <= eb <= _INT64_MAX
-                and _INT64_MIN <= er <= _INT64_MAX
-            ):
-                flags |= _F_INT
-                a, b, result = ea, eb, er
-            else:
-                flags |= _F_WIDE
-                self.wide[len(self.opcode_col)] = (ea, eb, er)
-        else:
-            try:
-                a = _signed(float64_to_bits(float(ea)))
-                b = _signed(float64_to_bits(float(eb)))
-                result = _signed(float64_to_bits(float(er)))
-            except OverflowError:
-                flags |= _F_WIDE
-                a = b = result = 0
-                self.wide[len(self.opcode_col)] = (ea, eb, er)
-        address = pc = dst = 0
-        if event.address is not None:
-            flags |= _F_ADDRESS
-            address = event.address
-        if event.pc is not None:
-            flags |= _F_PC
-            pc = event.pc
-        if event.dst is not None:
-            flags |= _F_DST
-            dst = event.dst
-        self.opcode_col.append(OPCODE_INDEX[event.opcode])
-        self.flags_col.append(flags)
-        self.a_col.append(a)
-        self.b_col.append(b)
-        self.result_col.append(result)
-        self.address_col.append(address)
-        self.pc_col.append(pc)
-        self.dst_col.append(dst)
-        if event.srcs:
-            self.srcs_col.extend(event.srcs)
-        self.src_offsets.append(len(self.srcs_col))
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            self.append(event)
-
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "ColumnBatch":
-        batch = cls()
-        batch.extend(events)
-        return batch
+        appender = ColumnAppender()
+        record = appender.record
+        for event in events:
+            record(*event)
+        return appender.finish()
 
     def extend_batch(self, other: "ColumnBatch") -> None:
         """Append every event of ``other`` (column-level concatenation)."""
@@ -254,39 +201,61 @@ class ColumnBatch:
         )
 
     def to_events(self) -> List[TraceEvent]:
-        """Materialize the whole batch (the bulk inverse of append)."""
-        opcodes = self.opcode_col
-        flags_col = self.flags_col
-        a_col, b_col, r_col = self.a_col, self.b_col, self.result_col
-        addr_col, pc_col, dst_col = self.address_col, self.pc_col, self.dst_col
-        offsets, srcs_col = self.src_offsets, self.srcs_col
-        wide = self.wide
-        events: List[TraceEvent] = []
-        append = events.append
-        for i in range(len(opcodes)):
-            flags = flags_col[i]
-            if flags & _F_WIDE:
-                a, b, result = wide[i]
-            elif flags & _F_INT:
-                a, b, result = a_col[i], b_col[i], r_col[i]
-            else:
-                a = bits_to_float64(a_col[i] & _U64_MASK)
-                b = bits_to_float64(b_col[i] & _U64_MASK)
-                result = bits_to_float64(r_col[i] & _U64_MASK)
-            lo, hi = offsets[i], offsets[i + 1]
-            append(
-                TraceEvent(
-                    OPCODE_LIST[opcodes[i]],
-                    a,
-                    b,
-                    result,
-                    address=addr_col[i] if flags & _F_ADDRESS else None,
-                    dst=dst_col[i] if flags & _F_DST else None,
-                    srcs=tuple(srcs_col[lo:hi]) if hi > lo else (),
-                    pc=pc_col[i] if flags & _F_PC else None,
-                )
-            )
-        return events
+        """Materialize the whole batch (the bulk inverse of the appender).
+
+        Every column is decoded at once from its numpy view; the only
+        per-event Python work left is patching int and wide rows and
+        slicing the srcs lists.
+        """
+        import numpy as np
+
+        if not len(self):
+            return []
+        views = self.views()
+        flags = views.flags
+        a = views.a_f.tolist()
+        b = views.b_f.tolist()
+        result = views.r_f.tolist()
+        int_rows = np.flatnonzero(flags & _F_INT)
+        for i, x, y, z in zip(
+            int_rows.tolist(),
+            views.a_i[int_rows].tolist(),
+            views.b_i[int_rows].tolist(),
+            views.r_i[int_rows].tolist(),
+        ):
+            a[i] = x
+            b[i] = y
+            result[i] = z
+        for i, (x, y, z) in self.wide.items():
+            a[i] = x
+            b[i] = y
+            result[i] = z
+        srcs: Iterable[tuple]
+        if len(self.srcs_col):
+            ids = self.srcs_col.tolist()
+            bounds = self.src_offsets.tolist()
+            srcs = [
+                tuple(ids[lo:hi]) if hi > lo else ()
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+        else:
+            srcs = repeat(())
+        # tuple.__new__ builds each TraceEvent without a Python-level
+        # constructor call per event.
+        return cast(List[TraceEvent], list(map(
+            tuple.__new__,
+            repeat(TraceEvent),
+            zip(
+                map(OPCODE_LIST.__getitem__, self.opcode_col),
+                a,
+                b,
+                result,
+                _optional(views.address, flags & _F_ADDRESS),
+                _optional(views.dst, flags & _F_DST),
+                srcs,
+                _optional(views.pc, flags & _F_PC),
+            ),
+        )))
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.to_events())
@@ -303,31 +272,270 @@ class ColumnBatch:
         }
 
 
-class ColumnBatchBuilder:
-    """Streaming event consumer that flushes :class:`ColumnBatch` blocks.
+def _optional(values, present) -> list:
+    """``values`` as a list of ints, ``None`` where ``present`` is 0."""
+    import numpy as np
 
-    Plug into :class:`~repro.workloads.recorder.OperationRecorder` as a
-    consumer; every ``batch_events`` events the accumulated batch is
-    handed to ``sink`` and a fresh one started.  Call :meth:`flush` at
-    end of recording for the final partial block.
+    mask = present != 0
+    if mask.all():
+        return values.tolist()
+    column = np.empty(len(values), dtype=object)  # filled with None
+    if mask.any():
+        column[mask] = values[mask]
+    return column.tolist()
+
+
+def _int64_column(present, values: array) -> array:
+    """An int64 column holding ``values`` (8-byte items, one per set
+    entry of the boolean mask ``present``, in order) and 0 elsewhere.
+    A double column is reinterpreted as its IEEE-754 bit patterns."""
+    import numpy as np
+
+    column = np.zeros(len(present), dtype=np.int64)
+    if len(values):
+        column[present] = np.frombuffer(values, dtype=np.int64)
+    return _as_array("q", column)
+
+
+def _as_array(typecode: str, values) -> array:
+    """Copy a contiguous numpy array into an ``array`` of ``typecode``."""
+    out = array(typecode)
+    out.frombytes(memoryview(values).cast("B"))
+    return out
+
+
+# Appender-only flag bits (finish() strips them): the event's float
+# operands, or its source ids, were appended to the sparse columns.
+_A_FLOATS = 32
+_A_SRCS = 64
+_PUBLIC_FLAGS = _F_INT | _F_ADDRESS | _F_PC | _F_DST | _F_WIDE
+
+
+class ColumnAppender:
+    """Builds a :class:`ColumnBatch` one event at a time from primitives.
+
+    Each event appends one word (opcode index | flag bits << 8) and then
+    only the fields it has: float operands go into ``array('d')``
+    columns as they are, address/pc/dst/srcs into their own columns,
+    and events whose operands are all ints (IMUL/IDIV) keep them in a
+    side list.  :meth:`finish` reinterprets each double column as int64
+    bits in one bulk copy, scatters every column to its events with
+    numpy and patches the int rows in, so no operand is ever bit-cast
+    on its own and an operand-less event costs one word.
+
+    :meth:`record` is the general encoder (any operand types, exactly
+    the :class:`ColumnBatch` encoding rules); :meth:`floats`,
+    :meth:`ints`, :meth:`memory` and :meth:`plain` are shortcuts for
+    callers that already know their operand types.
+
+    :meth:`finish` may be called again after more events were appended:
+    it then returns a new batch holding everything so far, and leaves
+    batches it returned earlier untouched.
     """
 
-    def __init__(self, sink, batch_events: int = DEFAULT_BATCH_EVENTS) -> None:
-        if batch_events < 1:
-            raise ValueError(f"batch_events must be >= 1, got {batch_events}")
-        self._sink = sink
-        self._batch_events = batch_events
-        self._batch = ColumnBatch()
-        self.batches_emitted = 0
+    __slots__ = (
+        "_words", "_a", "_b", "_result", "_address", "_pc", "_dst",
+        "_nsrcs", "_srcs", "_ints", "_wide", "_batch", "_trace",
+    )
 
-    def __call__(self, event: TraceEvent) -> None:
-        self._batch.append(event)
-        if len(self._batch) >= self._batch_events:
-            self.flush()
+    def __init__(self) -> None:
+        self._batch: Optional[ColumnBatch] = None
+        self._trace: Optional[Trace] = None
+        self._reset()
 
-    def flush(self) -> None:
-        """Emit the current partial batch (no-op when empty)."""
-        if len(self._batch):
-            self._sink(self._batch)
-            self.batches_emitted += 1
-            self._batch = ColumnBatch()
+    def _reset(self) -> None:
+        self._words = array("H")
+        self._a = array("d")
+        self._b = array("d")
+        self._result = array("d")
+        self._address = array("q")
+        self._pc = array("q")
+        self._dst = array("q")
+        self._nsrcs = array("I")
+        self._srcs = array("q")
+        #: (index, a, b, result) of the _F_INT events.
+        self._ints: List[Tuple[int, int, int, int]] = []
+        self._wide: Dict[int, Tuple] = {}
+
+    def __len__(self) -> int:
+        finished = len(self._batch) if self._batch is not None else 0
+        return finished + len(self._words)
+
+    # -- appending ---------------------------------------------------------
+
+    def record(
+        self,
+        opcode: Opcode,
+        a=0.0,
+        b=0.0,
+        result=0.0,
+        address: Optional[int] = None,
+        dst: Optional[int] = None,
+        srcs: tuple = (),
+        pc: Optional[int] = None,
+    ) -> None:
+        """Append one event given as :class:`TraceEvent` fields."""
+        index = len(self._words)
+        if (
+            isinstance(a, int) and isinstance(b, int)
+            and isinstance(result, int)
+            and not (
+                isinstance(a, bool) or isinstance(b, bool)
+                or isinstance(result, bool)
+            )
+        ):
+            if (
+                _INT64_MIN <= a <= _INT64_MAX
+                and _INT64_MIN <= b <= _INT64_MAX
+                and _INT64_MIN <= result <= _INT64_MAX
+            ):
+                flags = _F_INT
+                self._ints.append((index, a, b, result))
+            else:
+                flags = _F_WIDE
+                self._wide[index] = (a, b, result)
+        else:
+            try:
+                fa, fb, fr = float(a), float(b), float(result)
+            except OverflowError:
+                flags = _F_WIDE
+                self._wide[index] = (a, b, result)
+            else:
+                flags = _A_FLOATS
+                self._a.append(fa)
+                self._b.append(fb)
+                self._result.append(fr)
+        if address is not None:
+            flags |= _F_ADDRESS
+            self._address.append(address)
+        if pc is not None:
+            flags |= _F_PC
+            self._pc.append(pc)
+        if dst is not None:
+            flags |= _F_DST
+            self._dst.append(dst)
+        if srcs:
+            flags |= _A_SRCS
+            self._nsrcs.append(len(srcs))
+            self._srcs.extend(srcs)
+        self._words.append(OPCODE_INDEX[opcode] | flags << 8)
+
+    def floats(self, code: int, a: float, b: float, result: float,
+               dst: int, srcs: tuple, pc: Optional[int]) -> None:
+        """An arithmetic event with float operands (``code`` is an
+        opcode index)."""
+        self._a.append(a)
+        self._b.append(b)
+        self._result.append(result)
+        self._dst.append(dst)
+        flags = _A_FLOATS | _F_DST
+        if pc is not None:
+            flags |= _F_PC
+            self._pc.append(pc)
+        if srcs:
+            flags |= _A_SRCS
+            self._nsrcs.append(len(srcs))
+            self._srcs.extend(srcs)
+        self._words.append(code | flags << 8)
+
+    def ints(self, code: int, a: int, b: int, result: int,
+             dst: int, srcs: tuple, pc: Optional[int]) -> None:
+        """An arithmetic event with plain (non-bool) int operands."""
+        index = len(self._words)
+        if (
+            _INT64_MIN <= a <= _INT64_MAX
+            and _INT64_MIN <= b <= _INT64_MAX
+            and _INT64_MIN <= result <= _INT64_MAX
+        ):
+            flags = _F_INT | _F_DST
+            self._ints.append((index, a, b, result))
+        else:
+            flags = _F_WIDE | _F_DST
+            self._wide[index] = (a, b, result)
+        self._dst.append(dst)
+        if pc is not None:
+            flags |= _F_PC
+            self._pc.append(pc)
+        if srcs:
+            flags |= _A_SRCS
+            self._nsrcs.append(len(srcs))
+            self._srcs.extend(srcs)
+        self._words.append(code | flags << 8)
+
+    def memory(self, code: int, address: int,
+               dst: Optional[int], srcs: tuple) -> None:
+        """A load or store without operands or PC."""
+        self._address.append(address)
+        flags = _F_ADDRESS
+        if dst is not None:
+            flags |= _F_DST
+            self._dst.append(dst)
+        if srcs:
+            flags |= _A_SRCS
+            self._nsrcs.append(len(srcs))
+            self._srcs.extend(srcs)
+        self._words.append(code | flags << 8)
+
+    def plain(self, codes: array) -> None:
+        """Operand-less events: ``codes`` is an ``array('H')`` of their
+        opcode indices."""
+        self._words.extend(codes)
+
+    # -- finishing ---------------------------------------------------------
+
+    def finish(self) -> ColumnBatch:
+        """Every event appended so far, as a batch (see class docstring)."""
+        if self._batch is not None and not self._words:
+            return self._batch
+        pending = self._drain()
+        if self._batch is None:
+            self._batch = pending
+        else:
+            merged = ColumnBatch()
+            merged.extend_batch(self._batch)
+            merged.extend_batch(pending)
+            self._batch = merged
+        self._trace = None
+        return self._batch
+
+    def trace(self) -> Trace:
+        """:meth:`finish` as a column-backed :class:`Trace`: the same
+        object until more events are appended."""
+        batch = self.finish()
+        if self._trace is None:
+            self._trace = Trace(columns=batch)
+        return self._trace
+
+    def _drain(self) -> ColumnBatch:
+        """The pending events as a batch; the appender starts empty."""
+        import numpy as np
+
+        words = np.frombuffer(self._words, dtype=np.ushort)
+        flags = (words >> 8).astype(np.uint8)
+        floats = (flags & _A_FLOATS) != 0
+        batch = ColumnBatch()
+        batch.opcode_col = _as_array("B", words.astype(np.uint8))
+        batch.flags_col = _as_array("B", flags & _PUBLIC_FLAGS)
+        a_col = batch.a_col = _int64_column(floats, self._a)
+        b_col = batch.b_col = _int64_column(floats, self._b)
+        r_col = batch.result_col = _int64_column(floats, self._result)
+        for index, a, b, result in self._ints:
+            a_col[index] = a
+            b_col[index] = b
+            r_col[index] = result
+        batch.address_col = _int64_column(
+            (flags & _F_ADDRESS) != 0, self._address
+        )
+        batch.pc_col = _int64_column((flags & _F_PC) != 0, self._pc)
+        batch.dst_col = _int64_column((flags & _F_DST) != 0, self._dst)
+        bounds = np.zeros(len(words) + 1, dtype=np.uint64)
+        if len(self._nsrcs):
+            bounds[1:][(flags & _A_SRCS) != 0] = np.frombuffer(
+                self._nsrcs, dtype=np.uintc
+            )
+            np.cumsum(bounds, out=bounds)
+        batch.src_offsets = _as_array("Q", bounds)
+        batch.srcs_col = self._srcs
+        batch.wide = self._wide
+        self._reset()
+        return batch

@@ -4,7 +4,7 @@ The paper's measurement substrate is Shade executing SPARC binaries.
 The instrumented-Python workloads reproduce its *value streams*; this
 module closes the remaining gap for users who want to study real
 (if small) programs: an assembler for a SPARC-like textual ISA and an
-interpreter that executes programs while emitting the same
+interpreter that executes programs while recording the same
 :class:`~repro.isa.trace.TraceEvent` stream the simulators consume --
 with genuine program counters (for the Reuse Buffer comparison) and
 genuine register dataflow (for the hazard pipeline).
@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.operations import ieee_div, ieee_log, ieee_recip, ieee_sqrt, int_div
 from ..errors import TraceFormatError
+from .columns import ColumnAppender
 from .opcodes import Opcode
 from .trace import Trace, TraceEvent
 
@@ -166,7 +167,9 @@ class Machine:
         self.fp_regs: List[float] = [0.0] * 32
         self.memory: Dict[int, float] = {}
         self.cc = 0  # condition codes: sign of last cmp
-        self.trace: Optional[Trace] = Trace() if keep_trace else None
+        self._columns: Optional[ColumnAppender] = (
+            ColumnAppender() if keep_trace else None
+        )
         self._consumer = consumer
         self.steps = 0
         self.halted = False
@@ -178,11 +181,18 @@ class Machine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _emit(self, event: TraceEvent) -> None:
-        if self.trace is not None:
-            self.trace.append(event)
+    @property
+    def trace(self) -> Optional[Trace]:
+        """Everything executed so far, column-backed (None without
+        ``keep_trace``)."""
+        return self._columns.trace() if self._columns is not None else None
+
+    def _emit(self, *fields, **named) -> None:
+        """Record one event given as :class:`TraceEvent` fields."""
+        if self._columns is not None:
+            self._columns.record(*fields, **named)
         if self._consumer is not None:
-            self._consumer(event)
+            self._consumer(TraceEvent(*fields, **named))
 
     def _new_vid(self) -> int:
         self._next_vid += 1
@@ -280,18 +290,18 @@ class Machine:
                 self.halted = True
                 return index
             if m == "nop":
-                self._emit(TraceEvent(Opcode.NOP, pc=pc))
+                self._emit(Opcode.NOP, pc=pc)
                 return index + 1
             if m == "set":
                 value, _ = self._read_int(ops[0])
                 vid = self._new_vid()
                 self._write_int(ops[1], value, vid)
-                self._emit(TraceEvent(Opcode.IALU, dst=vid, pc=pc))
+                self._emit(Opcode.IALU, dst=vid, pc=pc)
                 return index + 1
             if m == "fset":
                 vid = self._new_vid()
                 self._write_fp(ops[1], float(ops[0]), vid)
-                self._emit(TraceEvent(Opcode.IALU, dst=vid, pc=pc))
+                self._emit(Opcode.IALU, dst=vid, pc=pc)
                 return index + 1
             if m in _INT_OPS:
                 a, va = self._read_int(ops[0])
@@ -308,7 +318,7 @@ class Machine:
                 vid = self._new_vid()
                 self._write_int(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(TraceEvent(Opcode.IALU, dst=vid, srcs=srcs, pc=pc))
+                self._emit(Opcode.IALU, dst=vid, srcs=srcs, pc=pc)
                 return index + 1
             if m == "sdiv":
                 a, va = self._read_int(ops[0])
@@ -317,9 +327,7 @@ class Machine:
                 vid = self._new_vid()
                 self._write_int(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(Opcode.IDIV, a, b, result, dst=vid, srcs=srcs, pc=pc)
-                )
+                self._emit(Opcode.IDIV, a, b, result, dst=vid, srcs=srcs, pc=pc)
                 return index + 1
             if m == "smul":
                 a, va = self._read_int(ops[0])
@@ -328,9 +336,7 @@ class Machine:
                 vid = self._new_vid()
                 self._write_int(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(Opcode.IMUL, a, b, result, dst=vid, srcs=srcs, pc=pc)
-                )
+                self._emit(Opcode.IMUL, a, b, result, dst=vid, srcs=srcs, pc=pc)
                 return index + 1
             if m == "ld":
                 address, base_vid = self._effective_address(ops[0])
@@ -343,9 +349,7 @@ class Machine:
                 )
                 self._write_fp(ops[1], value, vid)
                 self._emit(
-                    TraceEvent(
-                        Opcode.LOAD, address=address, dst=vid, srcs=srcs, pc=pc
-                    )
+                    Opcode.LOAD, address=address, dst=vid, srcs=srcs, pc=pc
                 )
                 return index + 1
             if m == "st":
@@ -356,9 +360,7 @@ class Machine:
                 self._mem_vids[address] = vid
                 srcs = tuple(v for v in (value_vid, base_vid) if v is not None)
                 self._emit(
-                    TraceEvent(
-                        Opcode.STORE, address=address, dst=vid, srcs=srcs, pc=pc
-                    )
+                    Opcode.STORE, address=address, dst=vid, srcs=srcs, pc=pc
                 )
                 return index + 1
             if m in ("fadd", "fsub"):
@@ -368,9 +370,7 @@ class Machine:
                 vid = self._new_vid()
                 self._write_fp(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(Opcode.FADD, a, b, result, dst=vid, srcs=srcs, pc=pc)
-                )
+                self._emit(Opcode.FADD, a, b, result, dst=vid, srcs=srcs, pc=pc)
                 return index + 1
             if m in ("fmul", "fdiv"):
                 a, va = self._read_fp(ops[0])
@@ -380,9 +380,7 @@ class Machine:
                 vid = self._new_vid()
                 self._write_fp(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(opcode, a, b, result, dst=vid, srcs=srcs, pc=pc)
-                )
+                self._emit(opcode, a, b, result, dst=vid, srcs=srcs, pc=pc)
                 return index + 1
             if m in _FP_UNARY:
                 compute, opcode = _FP_UNARY[m]
@@ -391,17 +389,13 @@ class Machine:
                 vid = self._new_vid()
                 self._write_fp(ops[1], result, vid)
                 srcs = (va,) if va is not None else ()
-                self._emit(
-                    TraceEvent(
-                        opcode, a, 0.0, result, dst=vid, srcs=srcs, pc=pc
-                    )
-                )
+                self._emit(opcode, a, 0.0, result, dst=vid, srcs=srcs, pc=pc)
                 return index + 1
             if m == "cmp":
                 a, _ = self._read_int(ops[0])
                 b, _ = self._read_int(ops[1])
                 self.cc = (a > b) - (a < b)
-                self._emit(TraceEvent(Opcode.IALU, pc=pc))
+                self._emit(Opcode.IALU, pc=pc)
                 return index + 1
             if m in _BRANCHES:
                 taken = {
@@ -413,7 +407,7 @@ class Machine:
                     "bg": self.cc > 0,
                     "bge": self.cc >= 0,
                 }[m]
-                self._emit(TraceEvent(Opcode.BRANCH, pc=pc))
+                self._emit(Opcode.BRANCH, pc=pc)
                 if taken:
                     target = labels.get(ops[0])
                     if target is None:

@@ -58,8 +58,9 @@ class Trace:
 
     Events are held either as a list of :class:`TraceEvent` records, as
     a columnar :class:`~repro.isa.columns.ColumnBatch`, or both: a trace
-    loaded from the v3 binary format starts column-backed and only
-    materializes event objects when :attr:`events` is first read, while
+    loaded from the v3 binary format (or recorded by a workload or the
+    assembler machine) starts column-backed and only materializes event
+    objects when :attr:`events` is first read, while
     a trace built by appending events converts lazily (and caches the
     result) when :meth:`columns` is first called.  Either view describes
     the identical event sequence.

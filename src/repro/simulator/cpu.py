@@ -112,6 +112,12 @@ class MemoizedCPU:
                 latency = self.machine.latency(op)
                 count = class_cycles[op] / latency if latency else 0.0
                 enhanced_cycles += count * ((1 - hr) * latency + hr)
+            # A hit never costs more than the operation it replaces, so
+            # the enhanced cycles cannot exceed the baseline ones; but
+            # count * latency can round a hair above the class's cycles
+            # (e.g. 2935 / 39 * 39), which at hit ratio 0 would give an
+            # SE just under 1.  Bounding the sum makes SE >= 1 exact.
+            enhanced_cycles = min(enhanced_cycles, total_class)
             se = total_class / enhanced_cycles if enhanced_cycles else 1.0
         else:
             se = 1.0

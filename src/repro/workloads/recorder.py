@@ -5,7 +5,8 @@ are ordinary Python functions written against an
 :class:`OperationRecorder`, which
 
 * performs each arithmetic operation (so the kernel really computes its
-  output) while appending the matching :class:`TraceEvent`;
+  output) while appending the matching event's fields straight into
+  trace columns (a :class:`~repro.isa.columns.ColumnAppender`);
 * tracks array accesses through :class:`TrackedArray` so loads/stores
   carry realistic addresses for the cache hierarchy;
 * counts loop overhead (branch + index arithmetic) via :meth:`loop`.
@@ -13,19 +14,23 @@ are ordinary Python functions written against an
 The recorded stream is exactly what the simulators consume, so the
 operand values reaching the MEMO-TABLES are the values the computation
 actually produced -- value locality is emergent, not synthesized.
+:class:`TraceEvent` objects are only built for streaming consumers, or
+when someone reads the trace's ``events``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.operations import ieee_div, ieee_log, ieee_sqrt, int_div
 from ..errors import WorkloadError
-from ..isa.opcodes import Opcode
+from ..isa.columns import ColumnAppender
+from ..isa.opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
 from ..isa.trace import Trace, TraceEvent
 
 __all__ = ["OperationRecorder", "TrackedArray", "TracedValue", "TracedInt", "vid_of"]
@@ -42,8 +47,10 @@ class TracedValue(float):
     the id back to attach dataflow edges to subsequent events.
     """
 
+    __slots__ = ("vid",)  # one is made per traced float: no __dict__
+
     def __new__(cls, value: float, vid: int):
-        self = super().__new__(cls, value)
+        self = float.__new__(cls, value)
         self.vid = vid
         return self
 
@@ -52,7 +59,7 @@ class TracedInt(int):
     """Integer twin of :class:`TracedValue` (for imul results)."""
 
     def __new__(cls, value: int, vid: int):
-        self = super().__new__(cls, value)
+        self = int.__new__(cls, value)
         self.vid = vid
         return self
 
@@ -64,11 +71,30 @@ def vid_of(value) -> Optional[int]:
 
 def _srcs(*operands) -> tuple:
     """Dataflow edges: the ids of traced operands (constants drop out)."""
-    return tuple(v.vid for v in operands if hasattr(v, "vid"))
+    return tuple([v.vid for v in operands if hasattr(v, "vid")])
 
 #: Tracked arrays are laid out in a flat synthetic address space,
 #: page-aligned so distinct arrays never share cache lines.
 _ARRAY_ALIGNMENT = 4096
+
+# Opcode indices: the recorder appends these, not Opcode members (an
+# enum member's hash runs in Python).
+_LOAD = OPCODE_INDEX[Opcode.LOAD]
+_STORE = OPCODE_INDEX[Opcode.STORE]
+_IMUL = OPCODE_INDEX[Opcode.IMUL]
+_IDIV = OPCODE_INDEX[Opcode.IDIV]
+_FMUL = OPCODE_INDEX[Opcode.FMUL]
+_FDIV = OPCODE_INDEX[Opcode.FDIV]
+_FADD = OPCODE_INDEX[Opcode.FADD]
+_FSQRT = OPCODE_INDEX[Opcode.FSQRT]
+_FRECIP = OPCODE_INDEX[Opcode.FRECIP]
+_FLOG = OPCODE_INDEX[Opcode.FLOG]
+_FSIN = OPCODE_INDEX[Opcode.FSIN]
+_FCOS = OPCODE_INDEX[Opcode.FCOS]
+_IALU = array("H", [OPCODE_INDEX[Opcode.IALU]])
+_BRANCH = array("H", [OPCODE_INDEX[Opcode.BRANCH]])
+#: One loop iteration's overhead: two IALU then one BRANCH.
+_LOOP_OVERHEAD = _IALU * 2 + _BRANCH
 
 
 class TrackedArray:
@@ -105,9 +131,11 @@ class TrackedArray:
     def __getitem__(self, index):
         recorder = self._recorder
         vid = recorder._new_vid()
-        recorder.emit(
-            TraceEvent(Opcode.LOAD, address=self._address(index), dst=vid)
-        )
+        address = self._address(index)
+        if recorder._columns is not None:
+            recorder._columns.memory(_LOAD, address, vid, ())
+        if recorder._streaming:
+            recorder._stream(TraceEvent(Opcode.LOAD, address=address, dst=vid))
         value = self.array[index]
         if isinstance(value, np.generic):
             value = value.item()
@@ -118,11 +146,13 @@ class TrackedArray:
         return value
 
     def __setitem__(self, index, value) -> None:
-        self._recorder.emit(
-            TraceEvent(
-                Opcode.STORE, address=self._address(index), srcs=_srcs(value)
-            )
-        )
+        recorder = self._recorder
+        address = self._address(index)
+        srcs = _srcs(value)
+        if recorder._columns is not None:
+            recorder._columns.memory(_STORE, address, None, srcs)
+        if recorder._streaming:
+            recorder._stream(TraceEvent(Opcode.STORE, address=address, srcs=srcs))
         self.array[index] = value
 
     def peek(self, index):
@@ -140,18 +170,37 @@ class OperationRecorder:
         consumers: Sequence[Consumer] = (),
         record_sites: bool = False,
     ) -> None:
-        """``keep_trace`` materializes events in :attr:`trace`;
+        """``keep_trace`` keeps the recording for :attr:`trace`;
         ``consumers`` receive every event as it happens (streaming mode,
         for runs too large to hold in memory); ``record_sites`` stamps
         each arithmetic event with a synthetic PC identifying its static
         call site (needed by PC-indexed schemes like the Reuse Buffer)."""
-        self.trace: Optional[Trace] = Trace() if keep_trace else None
+        self._columns: Optional[ColumnAppender] = (
+            ColumnAppender() if keep_trace else None
+        )
         self._consumers: List[Consumer] = list(consumers)
+        # Events are built one by one only for consumers, or to count
+        # them when there is no trace to count.
+        self._streaming = bool(self._consumers) or not keep_trace
+        self._streamed = 0
         self._next_base = _ARRAY_ALIGNMENT
         self._next_vid = 0
         self.record_sites = record_sites
         self._sites: Dict[tuple, int] = {}
-        self.events_recorded = 0
+
+    @property
+    def trace(self) -> Optional[Trace]:
+        """Everything recorded so far, column-backed (None without
+        ``keep_trace``).  Reading it again after more recording returns
+        a new trace; one read with nothing recorded in between returns
+        the same object."""
+        return self._columns.trace() if self._columns is not None else None
+
+    @property
+    def events_recorded(self) -> int:
+        if self._columns is not None:
+            return len(self._columns)
+        return self._streamed
 
     def _new_vid(self) -> int:
         """Allocate a fresh virtual value id (dataflow node)."""
@@ -165,10 +214,8 @@ class OperationRecorder:
         frames up (kernel -> public method -> helper), so one source
         statement is one static instruction -- unrolled source therefore
         occupies multiple PCs, exactly the distinction the paper draws
-        against the Reuse Buffer.
+        against the Reuse Buffer.  Callers check ``record_sites`` first.
         """
-        if not self.record_sites:
-            return None
         frame = sys._getframe(3)
         key = (id(frame.f_code), frame.f_lasti)
         pc = self._sites.get(key)
@@ -182,41 +229,18 @@ class OperationRecorder:
 
     def add_consumer(self, consumer: Consumer) -> None:
         self._consumers.append(consumer)
-
-    def add_batch_consumer(self, sink, batch_events: Optional[int] = None):
-        """Stream the recording to ``sink`` as columnar batches.
-
-        ``sink`` receives :class:`~repro.isa.columns.ColumnBatch` blocks
-        of up to ``batch_events`` events -- the struct-of-arrays form the
-        simulator kernel and the v3 trace format consume directly, so a
-        streaming pipeline never materializes per-event tuples beyond
-        the current block.  Returns the builder; call
-        :meth:`flush_batches` (or the builder's ``flush``) after the
-        kernel finishes to emit the final partial block.
-        """
-        from ..isa.columns import ColumnBatchBuilder, DEFAULT_BATCH_EVENTS
-
-        builder = ColumnBatchBuilder(
-            sink,
-            batch_events=(
-                batch_events if batch_events is not None
-                else DEFAULT_BATCH_EVENTS
-            ),
-        )
-        self._consumers.append(builder)
-        return builder
-
-    def flush_batches(self) -> None:
-        """Flush every batch consumer's pending partial block."""
-        for consumer in self._consumers:
-            flush = getattr(consumer, "flush", None)
-            if callable(flush):
-                flush()
+        self._streaming = True
 
     def emit(self, event: TraceEvent) -> None:
-        self.events_recorded += 1
-        if self.trace is not None:
-            self.trace.append(event)
+        """Record one prebuilt event (the arithmetic methods and tracked
+        arrays record their events without building one)."""
+        if self._columns is not None:
+            self._columns.record(*event)
+        if self._streaming:
+            self._stream(event)
+
+    def _stream(self, event: TraceEvent) -> None:
+        self._streamed += 1
         for consumer in self._consumers:
             consumer(event)
 
@@ -238,96 +262,113 @@ class OperationRecorder:
 
     # -- arithmetic (records and computes) ----------------------------------
     #
-    # Every method computes the true result, emits an event carrying the
-    # plain operand values plus dataflow edges, and returns the result
+    # Every method computes the true result, records an event carrying
+    # the plain operand values plus dataflow edges, and returns the result
     # wrapped with its value id so later events can name it as a source.
 
-    def _binary(self, opcode: Opcode, raw_a, raw_b, value_a, value_b, result):
-        """Emit a two-operand event; ``raw_*`` keep the dataflow ids."""
-        vid = self._new_vid()
-        self.emit(
-            TraceEvent(
-                opcode, value_a, value_b, result,
-                dst=vid, srcs=_srcs(raw_a, raw_b), pc=self._site_pc(),
-            )
-        )
+    def _binary(self, code: int, raw_a, raw_b, value_a, value_b, result,
+                integer: bool = False):
+        """Record a two-operand event (``code`` is an opcode index);
+        ``raw_*`` keep the dataflow ids.  ``integer`` marks IMUL/IDIV,
+        whose values are all plain ints."""
+        vid = self._next_vid = self._next_vid + 1
+        srcs = _srcs(raw_a, raw_b)
+        pc = self._site_pc() if self.record_sites else None
+        if self._columns is not None:
+            append = self._columns.ints if integer else self._columns.floats
+            append(code, value_a, value_b, result, vid, srcs, pc)
+        if self._streaming:
+            self._stream(TraceEvent(
+                OPCODE_LIST[code], value_a, value_b, result,
+                dst=vid, srcs=srcs, pc=pc,
+            ))
         return vid
 
-    def _unary(self, opcode: Opcode, raw_a, value_a, result):
-        vid = self._new_vid()
-        self.emit(
-            TraceEvent(
-                opcode, value_a, 0.0, result,
-                dst=vid, srcs=_srcs(raw_a), pc=self._site_pc(),
-            )
-        )
+    def _unary(self, code: int, raw_a, value_a, result):
+        vid = self._next_vid = self._next_vid + 1
+        srcs = _srcs(raw_a)
+        pc = self._site_pc() if self.record_sites else None
+        if self._columns is not None:
+            self._columns.floats(code, value_a, 0.0, result, vid, srcs, pc)
+        if self._streaming:
+            self._stream(TraceEvent(
+                OPCODE_LIST[code], value_a, 0.0, result,
+                dst=vid, srcs=srcs, pc=pc,
+            ))
         return vid
 
     def imul(self, a: int, b: int) -> int:
         result = int(a) * int(b)
-        vid = self._binary(Opcode.IMUL, a, b, int(a), int(b), result)
+        vid = self._binary(_IMUL, a, b, int(a), int(b), result, True)
         return TracedInt(result, vid)
 
     def idiv(self, a: int, b: int) -> int:
         result = int_div(int(a), int(b))
-        vid = self._binary(Opcode.IDIV, a, b, int(a), int(b), result)
+        vid = self._binary(_IDIV, a, b, int(a), int(b), result, True)
         return TracedInt(result, vid)
 
     def fmul(self, a: float, b: float) -> float:
         result = float(a) * float(b)
-        vid = self._binary(Opcode.FMUL, a, b, float(a), float(b), result)
+        vid = self._binary(_FMUL, a, b, float(a), float(b), result)
         return TracedValue(result, vid)
 
     def fdiv(self, a: float, b: float) -> float:
         result = ieee_div(float(a), float(b))
-        vid = self._binary(Opcode.FDIV, a, b, float(a), float(b), result)
+        vid = self._binary(_FDIV, a, b, float(a), float(b), result)
         return TracedValue(result, vid)
 
     def fsqrt(self, a: float) -> float:
         result = ieee_sqrt(float(a))
-        vid = self._unary(Opcode.FSQRT, a, float(a), result)
+        vid = self._unary(_FSQRT, a, float(a), result)
         return TracedValue(result, vid)
 
     def frecip(self, a: float) -> float:
         result = ieee_div(1.0, float(a))
-        vid = self._unary(Opcode.FRECIP, a, float(a), result)
+        vid = self._unary(_FRECIP, a, float(a), result)
         return TracedValue(result, vid)
 
     def flog(self, a: float) -> float:
         result = ieee_log(float(a))
-        vid = self._unary(Opcode.FLOG, a, float(a), result)
+        vid = self._unary(_FLOG, a, float(a), result)
         return TracedValue(result, vid)
 
     def fsin(self, a: float) -> float:
         result = math.sin(float(a))
-        vid = self._unary(Opcode.FSIN, a, float(a), result)
+        vid = self._unary(_FSIN, a, float(a), result)
         return TracedValue(result, vid)
 
     def fcos(self, a: float) -> float:
         result = math.cos(float(a))
-        vid = self._unary(Opcode.FCOS, a, float(a), result)
+        vid = self._unary(_FCOS, a, float(a), result)
         return TracedValue(result, vid)
 
     def fadd(self, a: float, b: float) -> float:
         result = float(a) + float(b)
-        vid = self._binary(Opcode.FADD, a, b, float(a), float(b), result)
+        vid = self._binary(_FADD, a, b, float(a), float(b), result)
         return TracedValue(result, vid)
 
     def fsub(self, a: float, b: float) -> float:
         result = float(a) - float(b)
-        vid = self._binary(Opcode.FADD, a, b, float(a), float(b), result)
+        vid = self._binary(_FADD, a, b, float(a), float(b), result)
         return TracedValue(result, vid)
 
     # -- overhead instructions ----------------------------------------------
 
+    def _plain(self, codes: array, event: TraceEvent) -> None:
+        """Record ``len(codes)`` copies of the operand-less ``event``
+        (``codes`` repeats its opcode index)."""
+        if self._columns is not None:
+            self._columns.plain(codes)
+        if self._streaming:
+            for _ in codes:
+                self._stream(event)
+
     def ialu(self, count: int = 1) -> None:
         """Record integer ALU work (address arithmetic, comparisons...)."""
-        for _ in range(count):
-            self.emit(TraceEvent(Opcode.IALU))
+        self._plain(_IALU * count, TraceEvent(Opcode.IALU))
 
     def branch(self, count: int = 1) -> None:
-        for _ in range(count):
-            self.emit(TraceEvent(Opcode.BRANCH))
+        self._plain(_BRANCH * count, TraceEvent(Opcode.BRANCH))
 
     def loop(self, iterable: Iterable) -> Iterator:
         """Iterate while charging per-iteration loop overhead.
@@ -339,10 +380,14 @@ class OperationRecorder:
         """
         ialu = TraceEvent(Opcode.IALU)
         branch = TraceEvent(Opcode.BRANCH)
+        columns = self._columns
         for item in iterable:
-            self.emit(ialu)
-            self.emit(ialu)
-            self.emit(branch)
+            if columns is not None:
+                columns.plain(_LOOP_OVERHEAD)
+            if self._streaming:
+                self._stream(ialu)
+                self._stream(ialu)
+                self._stream(branch)
             yield item
 
     # -- summary ------------------------------------------------------------

@@ -39,3 +39,24 @@ class TestCLI:
         payload = json.loads(target.read_text())
         assert len(payload["rows"]) == 6
         assert "div_to_mul_ratio" in payload["extras"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is only needed by the Figure 2 line fit; importing the CLI
+    (every ``repro`` command, every ``repro submit``) must not pay for it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = "import repro.cli, sys; print('scipy' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert completed.stdout.strip() == "False"

@@ -129,6 +129,19 @@ class TestMemoizedCPU:
         row, _ = cpu.speedup_row("toy", self._trace())
         assert row.measured_speedup == pytest.approx(row.speedup, rel=0.15)
 
+    def test_se_at_least_one_when_nothing_hits(self):
+        """venhance x nature at scale 0.1 on the slow machine: no FDIV
+        hits, and 2935 FDIV cycles / latency 39 * 39 rounds above 2935,
+        which used to give SE = 0.9999999999999999 and a ValueError."""
+        from repro.experiments.common import record_mm_trace
+
+        trace = record_mm_trace("venhance", "nature", scale=0.1, cache=False)
+        cpu = MemoizedCPU(SLOW_DESIGN, memoized=(Operation.FP_DIV,))
+        row, report = cpu.speedup_row("venhance", trace, overhead_factor=1.0)
+        assert report.hit_ratios[Operation.FP_DIV] == 0.0
+        assert row.speedup_enhanced == 1.0
+        assert row.speedup == 1.0
+
     def test_slow_machine_gains_more(self):
         fast_row, _ = MemoizedCPU(
             FAST_DESIGN, memoized=(Operation.FP_DIV,)
