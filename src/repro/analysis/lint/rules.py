@@ -520,8 +520,10 @@ class PerRecordProbeLoopRule(LintRule):
     ``.execute()`` or ``.lookup()`` anywhere else re-creates the scalar
     inner loop the columnar refactor deleted, silently bypassing the
     vectorized path (and the batched-vs-scalar parity CI asserts).
-    Hazard-style models that genuinely need per-event outcomes route
-    through :func:`repro.core.kernel.probe_one`.
+    Models that need per-event outcomes take them in bulk from
+    :func:`repro.core.backend.event_latencies`: a unit's outcomes depend
+    only on its own operand subsequence, never on what the model does
+    between events.
     """
 
     id = "REPRO006"
@@ -564,8 +566,8 @@ class PerRecordProbeLoopRule(LintRule):
                     inner, path,
                     f"per-record `.{inner.func.attr}()` probe inside a "
                     "loop; route the batch through repro.core.kernel "
-                    "(probe_batch/run_events, or probe_one for models "
-                    "that need per-event outcomes)",
+                    "(probe_batch/run_events, or event_latencies for "
+                    "per-event outcomes in bulk)",
                 ))
         return findings
 

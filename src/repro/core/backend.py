@@ -49,8 +49,9 @@ warning instead of crashing -- see :meth:`ExecutionBackend.availability`.
 This module is also the sanctioned facade over the kernel: lint rule
 REPRO009 forbids importing :mod:`repro.core.kernel` from outside
 ``repro.core``, so the kernel helpers front-ends legitimately need
-(:func:`probe_one`, :func:`values_match`, :func:`replay_infinite`,
-the fault-injection seam) are re-exported here.
+(:func:`probe_one`, :func:`event_latencies`, :func:`values_match`,
+:func:`replay_infinite`, the fault-injection seam) are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -62,13 +63,17 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..errors import ReproError
+from ..isa.opcodes import OPCODE_INDEX
 from . import kernel
 from .kernel import (  # noqa: F401  (facade re-exports; see REPRO009)
     KERNEL_FAULTS,
     KernelReport,
     as_batch,
+    event_latencies,
     probe_one,
     replay_infinite,
     values_match,
@@ -96,6 +101,8 @@ __all__ = [
     "SPECULATE_FAULTS",
     "KernelReport",
     "as_batch",
+    "event_latencies",
+    "partition_operands",
     "probe_one",
     "replay_infinite",
     "trivial_mask",
@@ -427,6 +434,19 @@ def set_indices(config, a, b):
     (sampling residency screens, conflict studies) can never drift from
     the simulator (REPRO009)."""
     return kernel._set_indices(config, a, b)
+
+
+def partition_operands(batch, opcode) -> Tuple[list, list]:
+    """The ``(a, b)`` operand lists of every ``opcode`` event in
+    ``batch``, in trace order, decoded by the kernel's partition
+    decoder: int and wide rows come back exactly as ``.events`` would
+    give them, without materializing the trace."""
+    views = batch.views()
+    idx = np.flatnonzero(views.opcode == OPCODE_INDEX[opcode])
+    a_values, b_values, _, _, _ = kernel._decode_partition(
+        batch, views, idx, False
+    )
+    return a_values, b_values
 
 
 def scalar_mode() -> bool:

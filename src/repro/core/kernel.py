@@ -39,7 +39,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -54,6 +63,8 @@ from .replacement import LRUPolicy
 __all__ = [
     "KERNEL_FAULTS",
     "KernelReport",
+    "PartitionOutcomes",
+    "event_latencies",
     "run_events",
     "run_events_scalar",
     "probe_batch",
@@ -169,9 +180,10 @@ class KernelReport:
 def probe_one(unit, a, b=0.0):
     """Scalar probe of one unit (= ``unit.execute``).
 
-    Exists so models that need per-event outcomes (the hazard-aware
-    pipeline resolves stalls event by event) still route their probes
-    through the kernel module."""
+    The event-at-a-time reference the differential driver compares the
+    batch paths against.  Models that need per-event outcomes do not
+    need it: a unit's outcomes depend only on its own operand
+    subsequence, so :func:`event_latencies` resolves them in bulk."""
     return unit.execute(a, b)
 
 
@@ -194,6 +206,21 @@ def table_probe_batch(
         values.append(value)
         hits.append(hit)
     return values, hits
+
+
+class PartitionOutcomes:
+    """Per-event outcomes of one partition probe, in partition order.
+
+    Pass an empty instance as ``outcomes=`` to :func:`probe_batch`;
+    the probe appends each event's memo-machine cycles (what
+    ``unit.execute(a, b).cycles`` would report) to :attr:`cycles` and
+    its hit flag (``.hit``) to :attr:`hits`."""
+
+    __slots__ = ("cycles", "hits")
+
+    def __init__(self) -> None:
+        self.cycles: List[int] = []
+        self.hits: List[bool] = []
 
 
 # -- the probe kernel -------------------------------------------------------
@@ -250,6 +277,7 @@ def probe_batch(
     _np_a=None,
     _np_b=None,
     _idx=None,
+    outcomes: Optional[PartitionOutcomes] = None,
 ) -> Tuple[int, int, int]:
     """Present a same-operation operand batch to one memoized unit.
 
@@ -262,6 +290,10 @@ def probe_batch(
     int/float partitions -- takes the generic tier, which loops
     ``unit.execute`` and is therefore correct by construction.
 
+    With ``outcomes`` (a fresh :class:`PartitionOutcomes`), every
+    event's memo cycles and hit flag are appended to it as well; the
+    return value and the statistics are the same either way.
+
     With metrics enabled (:func:`repro.obs.enabled`), each partition is
     additionally timed as a ``kernel.partition.<OP>`` span and its
     probe/insert/evict counter deltas stream into the registry --
@@ -270,12 +302,14 @@ def probe_batch(
     """
     if not obs.enabled():
         return _probe_batch(
-            unit, a_values, b_values, results, validate, _np_a, _np_b
+            unit, a_values, b_values, results, validate, _np_a, _np_b,
+            outcomes=outcomes,
         )
     return instrument_partition(
         unit,
         lambda: _probe_batch(
-            unit, a_values, b_values, results, validate, _np_a, _np_b
+            unit, a_values, b_values, results, validate, _np_a, _np_b,
+            outcomes=outcomes,
         ),
     )
 
@@ -314,6 +348,7 @@ def _probe_batch(
     _np_a=None,
     _np_b=None,
     _idx=None,
+    outcomes: Optional[PartitionOutcomes] = None,
 ) -> Tuple[int, int, int]:
     """The uninstrumented :func:`probe_batch` body (tier dispatch)."""
     n = len(a_values)
@@ -331,21 +366,21 @@ def _probe_batch(
         if _np_a is None:
             _np_a, _np_b = _coerce_operands(a_values, b_values, int_kind)
         if _np_a is not None and int_kind == (_np_a.dtype.kind == "i"):
-            return _probe_fast(unit, table, a_values, b_values, _np_a, _np_b)
+            return _probe_fast(
+                unit, table, a_values, b_values, _np_a, _np_b, outcomes
+            )
     execute = unit.execute
+    traced = results if validate and results is not None else None
     base = memo = mismatches = 0
-    if validate and results is not None:
-        for a, b, traced in zip(a_values, b_values, results):
-            outcome = execute(a, b)
-            base += outcome.base_cycles
-            memo += outcome.cycles
-            if not values_match(outcome.value, traced):
-                mismatches += 1
-    else:
-        for a, b in zip(a_values, b_values):
-            outcome = execute(a, b)
-            base += outcome.base_cycles
-            memo += outcome.cycles
+    for k, (a, b) in enumerate(zip(a_values, b_values)):
+        outcome = execute(a, b)
+        base += outcome.base_cycles
+        memo += outcome.cycles
+        if outcomes is not None:
+            outcomes.cycles.append(outcome.cycles)
+            outcomes.hits.append(outcome.hit)
+        if traced is not None and not values_match(outcome.value, traced[k]):
+            mismatches += 1
     return base, memo, mismatches
 
 
@@ -370,14 +405,16 @@ def _coerce_operands(a_values, b_values, int_kind):
         return None, None
 
 
-def _probe_fast(unit, table, a_values, b_values, np_a, np_b):
+def _probe_fast(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
     """The vectorized inner loop (EXCLUDE policy, full tags).
 
     Replicates the scalar semantics counter for counter: the table clock
     advances once per lookup and once per insert, hit recency and
     replacement decisions are identical, and a miss inserts a fresh
     entry (the exact tag was just probed absent, and reversed
-    commutative hits never reach insert)."""
+    commutative hits never reach insert).  With ``outcomes``, the miss
+    path also records its position; per-event cycles and hit flags are
+    derived from those and the trivial mask after the loop."""
     operation = unit.operation
     config = table.config
     fault = _active_fault
@@ -407,6 +444,8 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b):
     else:
         iter_idx = range(n)
     lookups = hits = commutative_hits = insertions = evictions = 0
+    record_misses = outcomes is not None
+    misses: List[int] = []
 
     if type(table) is MemoTable:
         mask = config.n_sets - 1
@@ -450,6 +489,8 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b):
                 if stale_tag:
                     prev_tag = tag
                 continue
+            if record_misses:
+                misses.append(i)
             a, b = a_list[i], b_list[i]
             value = compute_op(a, b)
             clock += 1
@@ -495,6 +536,8 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b):
             if found is not None:
                 hits += 1
                 continue
+            if record_misses:
+                misses.append(i)
             a, b = a_list[i], b_list[i]
             value = compute_op(a, b)
             insertions += 1
@@ -507,6 +550,15 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b):
     trivial_total = n_trivial * trivial_cycles
     base = trivial_total + lookups * latency
     memo = trivial_total + hits * hit_latency + (lookups - hits) * latency
+    if outcomes is not None:
+        # Non-trivial events hit unless the loop recorded a miss.
+        hit_arr = ~trivial_arr
+        hit_arr[misses] = False
+        cycles = np.full(n, hit_latency, dtype=np.int64)
+        cycles[trivial_arr] = trivial_cycles
+        cycles[misses] = latency
+        outcomes.cycles.extend(cycles.tolist())
+        outcomes.hits.extend(hit_arr.tolist())
 
     table_stats = table.stats
     table_stats.lookups += lookups
@@ -747,17 +799,12 @@ def _run_batch(
             )[0]
             idx = relative + start if start else relative
             if hierarchy is not None:
-                # The hierarchy is stateful across BOTH memory opcodes,
-                # so these events walk in original interleaved order.
-                access = hierarchy.access
-                load_cycles = store_cycles = 0
-                for code, address in zip(
-                    views.opcode[idx].tolist(), views.address[idx].tolist()
-                ):
-                    if code == load_code:
-                        load_cycles += access(address)
-                    else:
-                        store_cycles += access(address)
+                cycles = np.array(
+                    _walk_memory(hierarchy, views.address[idx]),
+                    dtype=np.int64,
+                )
+                load_cycles = int(cycles[views.opcode[idx] == load_code].sum())
+                store_cycles = int(cycles.sum()) - load_cycles
             else:
                 load_cycles, store_cycles = load_count, store_count
             if load_count:
@@ -775,6 +822,79 @@ def _run_batch(
         memo_cycles=memo_total,
         cycles_by_opcode=cycles_by_opcode,
     )
+
+
+def _walk_memory(hierarchy, addresses) -> List[int]:
+    """The latency of each load/store to ``addresses`` (an int64 array).
+
+    The hierarchy is stateful across BOTH memory opcodes, so the
+    accesses walk in original interleaved order."""
+    return list(map(hierarchy.access, addresses.tolist()))
+
+
+def event_latencies(
+    batch: ColumnBatch,
+    units: Optional[Mapping[Operation, object]],
+    machine,
+    hierarchy=None,
+    fp_add_latency: int = 3,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every event's latency on the memoized machine, and its hit flag.
+
+    The per-event form of :func:`_run_batch`'s section 3.3 cycle
+    accounting, so the two sum to the same ``memo_cycles``: memoized
+    operations cost what their unit reports (each unit's opcode
+    partition goes through :func:`probe_batch` with a
+    :class:`PartitionOutcomes`), other operations the ``machine``
+    latency, loads/stores their ``hierarchy`` latency (one cycle
+    without a hierarchy), FADD ``fp_add_latency`` and everything else
+    one cycle.  Resolving all of this ahead of any timing model is
+    exact: a unit's outcomes depend only on its own operand
+    subsequence and the cache's only on the address sequence.
+
+    Returns ``(latencies, hits)`` as int64 and bool arrays over the
+    whole batch; unit and table statistics land as with
+    :func:`run_events`.
+    """
+    views = batch.views()
+    codes = views.opcode
+    count_list = np.bincount(codes, minlength=len(OPCODE_LIST)).tolist()
+    by_opcode = np.ones(len(OPCODE_LIST), dtype=np.int64)
+    probed = []
+    for code, count in enumerate(count_list):
+        if not count:
+            continue
+        opcode = OPCODE_LIST[code]
+        operation = opcode.operation
+        if operation is not None:
+            unit = units.get(operation) if units else None
+            if unit is not None:
+                probed.append((code, unit))
+            else:
+                by_opcode[code] = machine.latency(operation)
+        elif opcode is Opcode.FADD:
+            by_opcode[code] = fp_add_latency
+    latencies = by_opcode[codes]
+    hits = np.zeros(len(codes), dtype=bool)
+    for code, unit in probed:
+        idx = np.flatnonzero(codes == code)
+        a_values, b_values, _, np_a, np_b = _decode_partition(
+            batch, views, idx, False
+        )
+        outcomes = PartitionOutcomes()
+        probe_batch(
+            unit, a_values, b_values, _np_a=np_a, _np_b=np_b,
+            outcomes=outcomes,
+        )
+        latencies[idx] = outcomes.cycles
+        hits[idx] = outcomes.hits
+    if hierarchy is not None:
+        load_code = OPCODE_INDEX[Opcode.LOAD]
+        store_code = OPCODE_INDEX[Opcode.STORE]
+        if count_list[load_code] or count_list[store_code]:
+            idx = np.flatnonzero((codes == load_code) | (codes == store_code))
+            latencies[idx] = _walk_memory(hierarchy, views.address[idx])
+    return latencies, hits
 
 
 # -- infinite-table replay (reuse upper bound) ------------------------------

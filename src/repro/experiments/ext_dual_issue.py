@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..core import backend as execution
 from ..core.config import MemoTableConfig
 from ..core.memo_table import MemoTable
 from ..core.multiported import DualIssueModel
@@ -52,11 +53,10 @@ def run(
         conflicts = 0
         for image in images:
             trace = record_mm_trace(app, image, scale=scale)
-            operands = [
-                (event.a, event.b)
-                for event in trace
-                if event.opcode is Opcode.FDIV
-            ]
+            a_values, b_values = execution.partition_operands(
+                trace.columns(), Opcode.FDIV
+            )
+            operands = list(zip(a_values, b_values))
             if len(operands) < 2:
                 continue
             model = DualIssueModel(

@@ -20,18 +20,29 @@ This model executes a dependency-annotated trace (the recorder attaches
 * optionally, a MEMO-TABLE bank -- hits complete in one cycle and
   *release the iterative unit immediately* (the unit "is aborted and
   signals it is free", section 2.2).
+
+A run has two phases.  First every event's latency is resolved in bulk
+(:func:`repro.core.backend.event_latencies`): each memo unit sees its
+own operand subsequence in one batched probe and the cache hierarchy
+its own address sequence, and neither depends on issue timing.  Then
+the in-order issue recurrence walks plain per-event columns (latency,
+iterative unit, destination, sources), where a hit has already cleared
+the event's iterative unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..arch.latency import ProcessorModel
 from ..core import backend as execution
 from ..core.bank import MemoTableBank
 from ..core.operations import Operation
-from ..isa.opcodes import Opcode
+from ..isa.columns import _F_DST, ColumnBatch
+from ..isa.opcodes import OPCODE_LIST
 from ..isa.trace import TraceEvent
 from .cache import MemoryHierarchy, default_hierarchy
 
@@ -51,6 +62,19 @@ NON_PIPELINED = frozenset(
         Operation.FP_SIN,
         Operation.FP_COS,
     }
+)
+
+_OPERATIONS = tuple(Operation)
+
+#: Opcode code -> the iterative unit it occupies (an index into
+#: ``_OPERATIONS``), or -1 for pipelined and non-arithmetic opcodes.
+_ITERATIVE_UNIT = np.array(
+    [
+        _OPERATIONS.index(opcode.operation)
+        if opcode.operation in NON_PIPELINED else -1
+        for opcode in OPCODE_LIST
+    ],
+    dtype=np.int64,
 )
 
 
@@ -106,98 +130,159 @@ class HazardModel:
             for op, unit in bank.units.items():
                 unit.latency = machine.latency(op)
 
-    def _latency(self, event: TraceEvent) -> int:
-        """Latency of one event on this machine (no memoization)."""
-        opcode = event.opcode
-        operation = opcode.operation
-        if operation is not None:
-            return self.machine.latency(operation)
-        if opcode.is_memory:
-            return self.hierarchy.access(event.address or 0)
-        if opcode is Opcode.FADD:
-            return self.fp_add_latency
-        return 1
-
     def run(self, events: Iterable[TraceEvent]) -> HazardReport:
-        report = HazardReport(
-            machine=self.machine.name, issue_width=self.issue_width
-        )
-        ready: Dict[int, int] = {}          # value id -> cycle available
-        unit_free: Dict[Operation, int] = {}  # iterative unit -> free cycle
+        """Execute ``events`` (a Trace, a ColumnBatch or any event
+        iterable, consumed once) and report its timing."""
+        batch = _columns(events)
         bank = self.bank
-        cycle = 0            # cycle of the previous issue (in-order floor)
-        slots_left = self.issue_width
-        last_completion = 0
-
-        for event in events:
-            report.instructions += 1
-            operation = event.opcode.operation
-
-            # Resolve the execution latency (memoized or not) first; the
-            # lookup happens in parallel with issue, so a hit is known
-            # when the operation would enter the unit.  Stall resolution
-            # needs each event's outcome before the next issues, so this
-            # model probes one event at a time (execution.probe_one), not in
-            # opcode batches.
-            hit = False
-            if operation is not None and bank is not None and bank.supports(
-                operation
-            ):
-                outcome = execution.probe_one(
-                    bank.units[operation], event.a, event.b
-                )
-                latency = outcome.cycles
-                hit = outcome.hit
-            else:
-                latency = self._latency(event)
-
-            # In-order issue: no earlier than the previous instruction.
-            earliest = cycle
-            if slots_left == 0:
-                earliest = cycle + 1
-
-            # RAW hazard: wait for source values.
-            operand_ready = 0
-            for src in event.srcs:
-                when = ready.get(src, 0)
-                if when > operand_ready:
-                    operand_ready = when
-            raw_wait = max(0, operand_ready - earliest)
-
-            # Structural hazard: iterative unit still busy.  A memo hit
-            # bypasses the unit entirely (the unit is aborted/free).
-            structural_wait = 0
-            uses_iterative = (
-                operation in NON_PIPELINED and not hit
-            )
-            if uses_iterative:
-                free_at = unit_free.get(operation, 0)
-                structural_wait = max(0, free_at - (earliest + raw_wait))
-
-            issue_at = earliest + raw_wait + structural_wait
-            if issue_at > cycle:
-                slots_left = self.issue_width
-            slots_left -= 1
-            cycle = issue_at
-
-            completion = issue_at + latency
-            if event.dst is not None:
-                ready[event.dst] = completion
-            if uses_iterative:
-                unit_free[operation] = completion
-            if completion > last_completion:
-                last_completion = completion
-
-            report.raw_stall_cycles += raw_wait
-            report.structural_stall_cycles += structural_wait
-            report.issue_slots_used += 1
-
-        report.total_cycles = last_completion
+        # Phase 1: every event's latency (a hit costs the hit latency)
+        # and which events hit, resolved ahead of issue.
+        latencies, hits = execution.event_latencies(
+            batch,
+            bank.units if bank is not None else None,
+            self.machine,
+            self.hierarchy,
+            self.fp_add_latency,
+        )
+        # A hit aborts the iterative unit: the event does not occupy it.
+        units = _ITERATIVE_UNIT[batch.views().opcode]
+        units[hits] = -1
+        # Phase 2: the issue recurrence over plain columns.
+        total, raw, structural = _issue(
+            latencies.tolist(),
+            units.tolist(),
+            *_dependency_slots(batch),
+            issue_width=self.issue_width,
+        )
+        report = HazardReport(
+            machine=self.machine.name,
+            issue_width=self.issue_width,
+            instructions=len(batch),
+            total_cycles=total,
+            raw_stall_cycles=raw,
+            structural_stall_cycles=structural,
+            issue_slots_used=len(batch),
+        )
         if bank is not None:
             report.hit_ratios = {
                 op: unit.hit_ratio for op, unit in bank.units.items()
             }
         return report
+
+
+def _columns(events) -> ColumnBatch:
+    """The columnar view of ``events``, converting an event iterable
+    (consumed once) when there is none."""
+    batch = execution.as_batch(events)
+    if batch is None:
+        batch = ColumnBatch.from_events(events)
+    return batch
+
+
+def _dependency_slots(
+    batch: ColumnBatch,
+) -> Tuple[List[int], List[int], List[int], List[Optional[List[int]]], int]:
+    """Each event's destination and sources as dense slot numbers.
+
+    Value ids are renumbered ``0..k-1`` so the recurrence keeps ready
+    times in a list.  Slot ``k`` is "no source" (never written, so
+    always ready at cycle 0) and slot ``k + 1`` is where events without
+    an ``_F_DST`` destination write (never read).  Returns per-event
+    ``(dst, first source, second source, further sources or None)``
+    lists and the slot count ``k + 2``.
+    """
+    views = batch.views()
+    n = len(batch)
+    has_dst = np.bitwise_and(views.flags, _F_DST) != 0
+    dst_ids = views.dst[has_dst]
+    srcs = np.frombuffer(batch.srcs_col, dtype=np.int64)
+    ids, slots = np.unique(
+        np.concatenate((dst_ids, srcs)), return_inverse=True
+    )
+    no_source = len(ids)
+    dst = np.full(n, no_source + 1, dtype=np.int64)
+    dst[has_dst] = slots[:len(dst_ids)]
+    src_slots = slots[len(dst_ids):]
+    offsets = np.frombuffer(batch.src_offsets, dtype=np.uint64).astype(np.int64)
+    lo = offsets[:-1]
+    counts = np.diff(offsets)
+    first = np.full(n, no_source, dtype=np.int64)
+    second = np.full(n, no_source, dtype=np.int64)
+    first[counts >= 1] = src_slots[lo[counts >= 1]]
+    second[counts >= 2] = src_slots[lo[counts >= 2] + 1]
+    further: List[Optional[List[int]]] = [None] * n
+    for i in np.flatnonzero(counts > 2).tolist():
+        further[i] = src_slots[lo[i] + 2:offsets[i + 1]].tolist()
+    return (
+        dst.tolist(), first.tolist(), second.tolist(), further,
+        no_source + 2,
+    )
+
+
+def _issue(
+    latencies: List[int],
+    units: List[int],
+    dsts: List[int],
+    firsts: List[int],
+    seconds: List[int],
+    furthers: List[Optional[List[int]]],
+    n_slots: int,
+    issue_width: int,
+) -> Tuple[int, int, int]:
+    """The in-order, multi-issue RAW + structural hazard recurrence.
+
+    Per event: its latency, the iterative unit it occupies (-1 for
+    none) and its destination and source slots (see
+    :func:`_dependency_slots`).  Returns ``(total_cycles,
+    raw_stall_cycles, structural_stall_cycles)``.
+    """
+    ready = [0] * n_slots               # slot -> cycle available
+    unit_free = [0] * len(_OPERATIONS)  # iterative unit -> free cycle
+    cycle = 0            # cycle of the previous issue (in-order floor)
+    slots_left = issue_width
+    last_completion = 0
+    raw_total = structural_total = 0
+    for latency, unit, dst, first, second, further in zip(
+        latencies, units, dsts, firsts, seconds, furthers
+    ):
+        # In-order issue: no earlier than the previous instruction.
+        earliest = cycle if slots_left else cycle + 1
+
+        # RAW hazard: wait for source values.
+        start = earliest
+        when = ready[first]
+        if when > start:
+            start = when
+        when = ready[second]
+        if when > start:
+            start = when
+        if further is not None:
+            for slot in further:
+                when = ready[slot]
+                if when > start:
+                    start = when
+        raw_total += start - earliest
+
+        # Structural hazard: iterative unit still busy (a memo hit
+        # bypassed the unit, so its id is already -1).
+        if unit >= 0:
+            free_at = unit_free[unit]
+            if free_at > start:
+                structural_total += free_at - start
+                start = free_at
+            completion = start + latency
+            unit_free[unit] = completion
+        else:
+            completion = start + latency
+
+        if start > cycle:
+            slots_left = issue_width
+        slots_left -= 1
+        cycle = start
+        ready[dst] = completion
+        if completion > last_completion:
+            last_completion = completion
+    return last_completion, raw_total, structural_total
 
 
 def hazard_speedup(
@@ -209,13 +294,15 @@ def hazard_speedup(
     """Convenience: run a trace with and without MEMO-TABLES.
 
     Returns baseline/memoized cycle counts and their ratio under the
-    hazard-aware model.  ``events`` must be re-iterable (a list/Trace).
+    hazard-aware model.  ``events`` is converted to columns once and
+    both runs read that batch, so a one-shot iterable works too.
     """
-    baseline = HazardModel(machine, issue_width=issue_width).run(events)
+    batch = _columns(events)
+    baseline = HazardModel(machine, issue_width=issue_width).run(batch)
     bank = MemoTableBank.paper_baseline(
         operations=memoized, latencies=machine.latencies()
     )
-    memo = HazardModel(machine, bank=bank, issue_width=issue_width).run(events)
+    memo = HazardModel(machine, bank=bank, issue_width=issue_width).run(batch)
     return {
         "baseline_cycles": baseline.total_cycles,
         "memo_cycles": memo.total_cycles,

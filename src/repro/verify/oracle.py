@@ -37,9 +37,12 @@ from ..core.config import (
 )
 from ..core.operations import Operation, compute
 from ..core.unit import DEFAULT_LATENCIES
+from ..isa.opcodes import Opcode
+from ..simulator.cache import default_hierarchy
+from ..simulator.hazard import NON_PIPELINED, HazardReport
 
 __all__ = ["OracleEntry", "OracleTable", "OracleInfiniteTable",
-           "OracleUnit", "OracleBank"]
+           "OracleUnit", "OracleBank", "reference_hazard"]
 
 _MANT_MASK = (1 << 52) - 1
 _PACK = struct.Struct("<d").pack
@@ -381,6 +384,14 @@ class OracleUnit:
         self.cycles_memo += latency
         return value
 
+    @property
+    def hit_ratio(self) -> float:
+        """Hits (trivial hits included) over table-eligible operations."""
+        eligible = self.table.lookups + self.trivial_hits
+        if not eligible:
+            return 0.0
+        return (self.table.hits + self.trivial_hits) / eligible
+
     def stats_key(self) -> tuple:
         """Counters in the shape of the production fingerprint."""
         t = self.table
@@ -423,3 +434,107 @@ class OracleBank:
 
     def fingerprint(self) -> Dict[Operation, tuple]:
         return {op: unit.stats_key() for op, unit in self.units.items()}
+
+
+# -- reference hazard executor ----------------------------------------------
+
+
+def reference_hazard(
+    events,
+    machine,
+    bank: Optional[OracleBank] = None,
+    hierarchy=None,
+    issue_width: int = 1,
+    fp_add_latency: int = 3,
+) -> HazardReport:
+    """The event-at-a-time in-order hazard executor.
+
+    The reference :class:`repro.simulator.hazard.HazardModel` is
+    checked against: one event at a time, its latency resolved by
+    stepping an :class:`OracleUnit` (hit and cycles read off the
+    unit's counter deltas) or by the machine/cache/FADD rules, then
+    issued under the RAW and structural hazards.  Like the production
+    model it sets each unit's latency to the ``machine``'s.  The cache
+    hierarchy (not under test here) is the production one.
+    """
+    if bank is not None:
+        for op, unit in bank.units.items():
+            unit.latency = machine.latency(op)
+    if hierarchy is None:
+        hierarchy = default_hierarchy()
+    report = HazardReport(machine=machine.name, issue_width=issue_width)
+    ready: Dict[int, int] = {}            # value id -> cycle available
+    unit_free: Dict[Operation, int] = {}  # iterative unit -> free cycle
+    cycle = 0            # cycle of the previous issue (in-order floor)
+    slots_left = issue_width
+    last_completion = 0
+
+    for event in events:
+        report.instructions += 1
+        opcode = event.opcode
+        operation = opcode.operation
+        unit = None
+        if operation is not None and bank is not None:
+            unit = bank.units.get(operation)
+
+        hit = False
+        if unit is not None:
+            memo_before = unit.cycles_memo
+            hits_before = unit.table.hits + unit.trivial_hits
+            unit.step(event.a, event.b)
+            latency = unit.cycles_memo - memo_before
+            hit = unit.table.hits + unit.trivial_hits > hits_before
+        elif operation is not None:
+            latency = machine.latency(operation)
+        elif opcode.is_memory:
+            latency = hierarchy.access(event.address or 0)
+        elif opcode is Opcode.FADD:
+            latency = fp_add_latency
+        else:
+            latency = 1
+
+        # In-order issue: no earlier than the previous instruction.
+        earliest = cycle
+        if slots_left == 0:
+            earliest = cycle + 1
+
+        # RAW hazard: wait for source values.
+        operand_ready = 0
+        for src in event.srcs:
+            when = ready.get(src, 0)
+            if when > operand_ready:
+                operand_ready = when
+        raw_wait = max(0, operand_ready - earliest)
+
+        # Structural hazard: iterative unit still busy.  A memo hit
+        # bypasses the unit entirely (the unit is aborted/free).
+        structural_wait = 0
+        uses_iterative = operation in NON_PIPELINED and not hit
+        if uses_iterative:
+            free_at = unit_free.get(operation, 0)
+            structural_wait = max(0, free_at - (earliest + raw_wait))
+
+        issue_at = earliest + raw_wait + structural_wait
+        if issue_at > cycle:
+            slots_left = issue_width
+        slots_left -= 1
+        cycle = issue_at
+
+        completion = issue_at + latency
+        if event.dst is not None:
+            ready[event.dst] = completion
+        if uses_iterative:
+            unit_free[operation] = completion
+        if completion > last_completion:
+            last_completion = completion
+
+        report.raw_stall_cycles += raw_wait
+        report.structural_stall_cycles += structural_wait
+        report.issue_slots_used += 1
+
+    report.total_cycles = last_completion
+    if bank is not None:
+        report.hit_ratios = {
+            op: unit.hit_ratio for op, unit in bank.units.items()
+        }
+    return report

@@ -16,6 +16,7 @@ parity gate required by the columnar-pipeline acceptance criteria.
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.analysis.static.memo import reference_machine
@@ -23,9 +24,15 @@ from repro.arch.latency import FAST_DESIGN
 from repro.core import backend as execution
 from repro.core import kernel
 from repro.core.bank import MemoTableBank
-from repro.core.config import MemoTableConfig, TagMode, TrivialPolicy
+from repro.core.config import (
+    MemoTableConfig,
+    ReplacementKind,
+    TagMode,
+    TrivialPolicy,
+)
 from repro.core.operations import Operation
-from repro.isa.opcodes import Opcode
+from repro.isa.columns import ColumnBatch
+from repro.isa.opcodes import OPCODE_LIST, Opcode
 from repro.isa.programs import PROGRAMS
 from repro.isa.trace import Trace, TraceEvent
 from repro.simulator.cache import MemoryHierarchy
@@ -335,3 +342,170 @@ class TestReplayInfiniteParity:
         assert kernel.replay_infinite(events) == (
             kernel._replay_infinite_scalar(events)
         )
+
+
+def _partitions(events):
+    """Per memoizable opcode: the operand lists (and numpy arrays when
+    type-homogeneous) exactly as the kernel decodes them from columns."""
+    batch = ColumnBatch.from_events(events)
+    views = batch.views()
+    for code, opcode in enumerate(OPCODE_LIST):
+        idx = np.flatnonzero(views.opcode == code)
+        if opcode.operation is None or not len(idx):
+            continue
+        yield (opcode.operation,) + kernel._decode_partition(
+            batch, views, idx, True
+        )
+
+
+def _mixed_and_wide_trace():
+    """An FMUL partition mixing int-flagged and float rows, and IMUL /
+    IDIV partitions carrying operands outside int64 (wide rows)."""
+    events = []
+    for a, b in ((2, 3), (2.0, 3.0), (2, 3), (7, 1), (0.5, 4), (2.0, 3.0)):
+        result = a * b
+        events.append(TraceEvent(Opcode.FMUL, a, b, result))
+    for a, b in ((1 << 70, 3), (5, 6), (1 << 70, 3), (5, 6), (-7, 1)):
+        events.append(TraceEvent(Opcode.IMUL, a, b, a * b))
+        events.append(TraceEvent(Opcode.IDIV, a, b, a // b))
+    return events + events
+
+
+@pytest.mark.parametrize("opcode", [Opcode.FMUL, Opcode.IMUL, Opcode.IDIV])
+def test_partition_operands_decode_like_events(opcode):
+    batch = ColumnBatch.from_events(_mixed_and_wide_trace())
+    a_values, b_values = execution.partition_operands(batch, opcode)
+    expected = [
+        (event.a, event.b) for event in batch.to_events()
+        if event.opcode is opcode
+    ]
+    got = list(zip(a_values, b_values))
+    assert [tuple(map(_bits, pair)) for pair in got] == [
+        tuple(map(_bits, pair)) for pair in expected
+    ]
+
+
+#: name -> (bank factory, whether the vectorized fast tier must engage;
+#: "int": only for the integer units, whose tags are always full).
+OUTCOME_TIERS = {
+    "lru": (lambda: MemoTableBank.paper_baseline(
+        config=MemoTableConfig(entries=8, associativity=2),
+        operations=ALL_OPERATIONS), True),
+    "fifo": (lambda: MemoTableBank.paper_baseline(
+        config=MemoTableConfig(entries=8, associativity=4,
+                               replacement=ReplacementKind.FIFO),
+        operations=ALL_OPERATIONS), True),
+    "random": (lambda: MemoTableBank.paper_baseline(
+        config=MemoTableConfig(entries=8, associativity=2,
+                               replacement=ReplacementKind.RANDOM, seed=3),
+        operations=ALL_OPERATIONS), True),
+    "infinite": (lambda: MemoTableBank.infinite(
+        operations=ALL_OPERATIONS), True),
+    "mantissa": (lambda: MemoTableBank.paper_baseline(
+        config=MemoTableConfig(entries=8, associativity=2,
+                               tag_mode=TagMode.MANTISSA),
+        operations=ALL_OPERATIONS), "int"),
+    "cache-all": (lambda: MemoTableBank.paper_baseline(
+        config=MemoTableConfig(entries=8, associativity=2),
+        operations=ALL_OPERATIONS,
+        trivial_policy=TrivialPolicy.CACHE_ALL), False),
+    "integrated": (lambda: MemoTableBank.paper_baseline(
+        config=MemoTableConfig(entries=8, associativity=2),
+        operations=ALL_OPERATIONS,
+        trivial_policy=TrivialPolicy.INTEGRATED), False),
+}
+
+
+class TestPerEventOutcomes:
+    """``probe_batch(..., outcomes=)``: every event's memo cycles and hit
+    flag equal what a ``unit.execute`` loop reports, in every tier, and
+    the probe's return value and side effects do not depend on whether
+    the output was requested."""
+
+    def _check(self, events, make_bank, validate=False, monkeypatch=None):
+        fast_calls = []
+        if monkeypatch is not None:
+            fast = kernel._probe_fast
+
+            def counting(*args):
+                fast_calls.append(args[0].operation)
+                return fast(*args)
+
+            monkeypatch.setattr(kernel, "_probe_fast", counting)
+        with_output, without, scalar = make_bank(), make_bank(), make_bank()
+        for operation, a, b, results, np_a, np_b in _partitions(events):
+            outcomes = kernel.PartitionOutcomes()
+            got = kernel.probe_batch(
+                with_output.units[operation], a, b, results=results,
+                validate=validate, _np_a=np_a, _np_b=np_b, outcomes=outcomes,
+            )
+            plain = kernel.probe_batch(
+                without.units[operation], a, b, results=results,
+                validate=validate, _np_a=np_a, _np_b=np_b,
+            )
+            runs = [
+                scalar.units[operation].execute(x, y) for x, y in zip(a, b)
+            ]
+            assert got == plain
+            assert plain[:2] == (
+                sum(run.base_cycles for run in runs),
+                sum(run.cycles for run in runs),
+            )
+            assert outcomes.cycles == [run.cycles for run in runs]
+            assert outcomes.hits == [run.hit for run in runs]
+        for bank in (with_output, without):
+            assert _bank_fingerprint(bank) == _bank_fingerprint(scalar)
+            assert _table_entries(bank) == _table_entries(scalar)
+        return fast_calls
+
+    @pytest.mark.parametrize("tier", list(OUTCOME_TIERS))
+    def test_edge_trace(self, tier, monkeypatch):
+        make_bank, fast = OUTCOME_TIERS[tier]
+        fast_calls = self._check(_edge_trace(), make_bank,
+                                 monkeypatch=monkeypatch)
+        int_ops = {Operation.INT_MUL, Operation.INT_DIV}
+        if fast == "int":
+            assert set(fast_calls) == int_ops
+        else:
+            assert bool(fast_calls) == fast
+
+    @pytest.mark.parametrize("tier", list(OUTCOME_TIERS))
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_bundled_programs(self, traces, name, tier):
+        self._check(traces[name].events, OUTCOME_TIERS[tier][0])
+
+    def test_validate_run(self):
+        events = _edge_trace() + [
+            TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
+            TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
+        ]
+        self._check(events, OUTCOME_TIERS["lru"][0], validate=True)
+
+    @pytest.mark.parametrize("tier", ["lru", "infinite", "integrated"])
+    def test_mixed_and_wide_partitions(self, tier, monkeypatch):
+        fast_calls = self._check(
+            _mixed_and_wide_trace(), OUTCOME_TIERS[tier][0],
+            monkeypatch=monkeypatch,
+        )
+        # Mixed and wide partitions cannot take the vectorized tier.
+        assert fast_calls == []
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_event_latencies_sum_to_the_cycle_model(self, traces, name):
+        events = traces[name]
+        bank = MemoTableBank.paper_baseline(operations=ALL_OPERATIONS)
+        latencies, hits = kernel.event_latencies(
+            events.columns(), bank.units, FAST_DESIGN, MemoryHierarchy()
+        )
+        cycle_bank = MemoTableBank.paper_baseline(operations=ALL_OPERATIONS)
+        report = kernel.run_events(
+            events, cycle_bank.units, machine=FAST_DESIGN,
+            hierarchy=MemoryHierarchy(), backend="batched",
+        )
+        assert len(latencies) == len(hits) == report.instructions
+        assert int(latencies.sum()) == report.memo_cycles
+        assert int(hits.sum()) == sum(
+            unit.stats.table.hits + unit.stats.trivial_hits
+            for unit in bank.units.values()
+        )
+        assert _bank_fingerprint(bank) == _bank_fingerprint(cycle_bank)

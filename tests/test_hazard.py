@@ -106,6 +106,22 @@ class TestMemoizationEffects:
         )
         assert result["speedup"] > 3.0
 
+    def test_speedup_of_a_one_shot_iterable(self):
+        # Both runs must see the whole trace: a generator used to be
+        # drained by the baseline run, leaving the memo run empty.
+        chain = [
+            _div(9.0, 7.0, dst=i + 1, srcs=(i,) if i else ())
+            for i in range(6)
+        ]
+        expected = hazard_speedup(
+            SLOW_DESIGN, chain, memoized=(Operation.FP_DIV,)
+        )
+        one_shot = hazard_speedup(
+            SLOW_DESIGN, iter(chain), memoized=(Operation.FP_DIV,)
+        )
+        assert one_shot == expected
+        assert one_shot["speedup"] > 3.0
+
     def test_kernel_trace_end_to_end(self, small_image):
         recorder = OperationRecorder()
         run_kernel("vgauss", recorder, small_image)

@@ -1,13 +1,14 @@
-"""Parity: hazard model's per-event probes vs. every batch backend.
+"""Parity: the hazard model's bank state vs. every batch backend.
 
-The hazard-aware pipeline model must resolve each event's hit/miss
-before the next issues, so it probes through ``kernel.probe_one`` one
-event at a time.  The batch backends reorder work into per-opcode
-columns (and the speculative one additionally bulk-commits hot
-regions).  All of them must leave a bank in the identical state --
-same statistics, same table contents -- for the same trace, or the
-hazard model's hit ratios (and therefore its stall accounting)
-silently drift from the headline results.
+The hazard-aware pipeline model resolves each event's hit/miss in bulk
+before its issue recurrence runs (``backend.event_latencies``: one
+kernel probe per unit partition); a unit's outcomes depend only on its
+own operand subsequence, not on issue timing.  The batch backends also
+reorder work into per-opcode columns (and the speculative one
+additionally bulk-commits hot regions).  All of them must leave a bank
+in the identical state -- same statistics, same table contents -- for
+the same trace, or the hazard model's hit ratios (and therefore its
+stall accounting) silently drift from the headline results.
 """
 
 import pytest
