@@ -34,8 +34,10 @@ four-way differential fuzzer (``repro verify fuzz``) enforce this.
 Configurations the dense-id trick does not model (validation runs,
 mantissa tags, CACHE_ALL/INTEGRATED trivial policies, shared or
 infinite tables, non-LRU replacement, mixed-type partitions) delegate
-to :func:`repro.core.kernel.probe_batch`, which is correct by
-construction -- same degrade contract the batched tier uses.
+to :func:`repro.core.kernel.probe_batch`, whose vectorized tier covers
+every trivial policy, tag mode and replacement policy on the stock
+tables; only validation runs, custom tables and mixed or wide
+partitions reach its per-event generic tier.
 """
 
 from __future__ import annotations

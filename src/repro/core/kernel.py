@@ -102,6 +102,8 @@ KERNEL_FAULTS = (
     "dropped_trivial_mask",
     "wrong_set_index_mask",
     "stale_tag_on_abort",
+    "mantissa_tag_keeps_exponent",
+    "integrated_trivial_as_bypass",
 )
 
 _active_fault: Optional[str] = None
@@ -283,12 +285,12 @@ def probe_batch(
 
     Returns ``(base_cycles, memo_cycles, mismatches)``.  All unit and
     table statistics land exactly where ``unit.execute`` would put them.
-    The vectorized fast path engages for the common configuration
-    (EXCLUDE trivial policy, full-value tags, stock table types,
-    type-homogeneous operands); anything else -- validation runs,
-    mantissa tags, CACHE_ALL/INTEGRATED policies, custom tables, mixed
-    int/float partitions -- takes the generic tier, which loops
-    ``unit.execute`` and is therefore correct by construction.
+    The vectorized fast path engages for every trivial policy and tag
+    mode on the stock table types (:class:`MemoTable`,
+    :class:`InfiniteMemoTable`) with type-homogeneous operands; only
+    validation runs, custom table classes and mixed int/float or wide
+    partitions take the generic tier, which loops ``unit.execute`` and
+    is therefore correct by construction.
 
     With ``outcomes`` (a fresh :class:`PartitionOutcomes`), every
     event's memo cycles and hit flag are appended to it as well; the
@@ -356,11 +358,8 @@ def _probe_batch(
         return 0, 0, 0
     table = unit.table
     table_type = type(table)
-    if (
-        not validate
-        and unit.trivial_policy is TrivialPolicy.EXCLUDE
-        and (table_type is MemoTable or table_type is InfiniteMemoTable)
-        and table.config.tag_mode is TagMode.FULL
+    if not validate and (
+        table_type is MemoTable or table_type is InfiniteMemoTable
     ):
         int_kind = table.config.operand_kind is OperandKind.INT
         if _np_a is None:
@@ -406,28 +405,50 @@ def _coerce_operands(a_values, b_values, int_kind):
 
 
 def _probe_fast(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
-    """The vectorized inner loop (EXCLUDE policy, full tags).
+    """The vectorized inner loop (every trivial policy and tag mode).
 
     Replicates the scalar semantics counter for counter: the table clock
     advances once per lookup and once per insert, hit recency and
     replacement decisions are identical, and a miss inserts a fresh
     entry (the exact tag was just probed absent, and reversed
-    commutative hits never reach insert).  With ``outcomes``, the miss
-    path also records its position; per-event cycles and hit flags are
-    derived from those and the trivial mask after the loop."""
+    commutative hits never reach insert).  Trivial operations bypass
+    the table under EXCLUDE and INTEGRATED (the latter charging them
+    as single-cycle hits) and are probed like any other operation
+    under CACHE_ALL.  MANTISSA tables tag float operands with their
+    52-bit mantissa fields; the exponent fix-up only shapes the value a
+    hit delivers, which this tier never returns.  With ``outcomes``,
+    the miss path also records its position; per-event cycles and hit
+    flags are derived from those and the trivial mask after the
+    loop."""
     operation = unit.operation
     config = table.config
     fault = _active_fault
+    policy = unit.trivial_policy
+    if (
+        fault == "integrated_trivial_as_bypass"
+        and policy is TrivialPolicy.INTEGRATED
+    ):
+        policy = TrivialPolicy.EXCLUDE
     trivial_arr = _trivial_mask(operation, np_a, np_b)
     if fault == "dropped_trivial_mask":
         trivial_arr = np.zeros(len(np_a), dtype=bool)
     n_trivial = int(trivial_arr.sum())
+    # Trivial operations that bypass the table (all but CACHE_ALL).
+    n_bypass = 0 if policy is TrivialPolicy.CACHE_ALL else n_trivial
+    trivial_hit = policy is TrivialPolicy.INTEGRATED
     int_kind = config.operand_kind is OperandKind.INT
     if int_kind:
         tags_a, tags_b = np_a.tolist(), np_b.tolist()
     else:
-        tags_a = np_a.view(np.uint64).tolist()
-        tags_b = np_b.view(np.uint64).tolist()
+        bits_a = np_a.view(np.uint64)
+        bits_b = np_b.view(np.uint64)
+        if (
+            config.tag_mode is TagMode.MANTISSA
+            and fault != "mantissa_tag_keeps_exponent"
+        ):
+            bits_a = np.bitwise_and(bits_a, np.uint64(_MANT_MASK))
+            bits_b = np.bitwise_and(bits_b, np.uint64(_MANT_MASK))
+        tags_a, tags_b = bits_a.tolist(), bits_b.tolist()
     tag_pairs = list(zip(tags_a, tags_b))
     a_list = a_values if isinstance(a_values, list) else list(a_values)
     b_list = b_values if isinstance(b_values, list) else list(b_values)
@@ -437,9 +458,9 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
     commutative = config.commutative
     compute_op = compute_function(operation)
     n = len(a_list)
-    # Trivial events only count cycles, so the probe loop walks just the
-    # non-trivial positions (order within the opcode is preserved).
-    if n_trivial:
+    # Bypassed trivial events only count cycles, so the probe loop walks
+    # just the other positions (order within the opcode is preserved).
+    if n_bypass:
         iter_idx = np.nonzero(~trivial_arr)[0].tolist()
     else:
         iter_idx = range(n)
@@ -545,17 +566,26 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
 
     # Cycle accounting in bulk: hits cost ``latency`` on the base
     # machine and ``hit_latency`` on the memoized one; misses cost
-    # ``latency`` on both; trivial operations cost ``trivial_cycles``
-    # on both (EXCLUDE short-circuits the table entirely).
-    trivial_total = n_trivial * trivial_cycles
-    base = trivial_total + lookups * latency
-    memo = trivial_total + hits * hit_latency + (lookups - hits) * latency
+    # ``latency`` on both; bypassed trivial operations cost
+    # ``trivial_cycles`` on the base machine and, on the memoized one,
+    # ``hit_latency`` under INTEGRATED (the detector's single-cycle
+    # "hit") or ``trivial_cycles`` again under EXCLUDE.
+    bypass_cycles = hit_latency if trivial_hit else trivial_cycles
+    base = n_bypass * trivial_cycles + lookups * latency
+    memo = (
+        n_bypass * bypass_cycles
+        + hits * hit_latency
+        + (lookups - hits) * latency
+    )
     if outcomes is not None:
-        # Non-trivial events hit unless the loop recorded a miss.
-        hit_arr = ~trivial_arr
-        hit_arr[misses] = False
+        # Probed events hit unless the loop recorded a miss; bypassed
+        # trivial events hit only under INTEGRATED.
+        hit_arr = np.ones(n, dtype=bool)
         cycles = np.full(n, hit_latency, dtype=np.int64)
-        cycles[trivial_arr] = trivial_cycles
+        if n_bypass and not trivial_hit:
+            hit_arr[trivial_arr] = False
+            cycles[trivial_arr] = trivial_cycles
+        hit_arr[misses] = False
         cycles[misses] = latency
         outcomes.cycles.extend(cycles.tolist())
         outcomes.hits.extend(hit_arr.tolist())
@@ -569,6 +599,8 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
     unit_stats = unit.stats
     unit_stats.operations += n
     unit_stats.trivial += n_trivial
+    if trivial_hit:
+        unit_stats.trivial_hits += n_trivial
     unit_stats.cycles_base += base
     unit_stats.cycles_memo += memo
     return base, memo, 0

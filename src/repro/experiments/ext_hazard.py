@@ -25,16 +25,26 @@ __all__ = ["run"]
 _MEMOIZED = (Operation.FP_MUL, Operation.FP_DIV)
 
 
-def _run_pair(machine: ProcessorModel, trace, issue_width: int):
-    baseline = HazardModel(machine, issue_width=issue_width).run(trace)
+_WIDTHS = (1, 2)
+
+
+def _run_widths(machine: ProcessorModel, trace):
+    """Baseline and memoized reports plus the speedup, per issue width
+    in ``_WIDTHS`` (each model resolves the trace's latencies once)."""
+    baselines = HazardModel(machine).run_widths(trace, _WIDTHS)
     bank = MemoTableBank.paper_baseline(
         operations=_MEMOIZED, latencies=machine.latencies()
     )
-    memo = HazardModel(machine, bank=bank, issue_width=issue_width).run(trace)
-    speedup = (
-        baseline.total_cycles / memo.total_cycles if memo.total_cycles else 1.0
-    )
-    return baseline, memo, speedup
+    memos = HazardModel(machine, bank=bank).run_widths(trace, _WIDTHS)
+    return [
+        (
+            baseline,
+            memo,
+            baseline.total_cycles / memo.total_cycles
+            if memo.total_cycles else 1.0,
+        )
+        for baseline, memo in zip(baselines, memos)
+    ]
 
 
 def run(
@@ -64,8 +74,9 @@ def run(
         structural_cut = []
         for image in images:
             trace = record_mm_trace(app, image, scale=scale)
-            baseline, memo, speedup_1w = _run_pair(machine, trace, 1)
-            _, _, speedup_2w = _run_pair(machine, trace, 2)
+            (baseline, memo, speedup_1w), (_, _, speedup_2w) = _run_widths(
+                machine, trace
+            )
             speedups_1w.append(speedup_1w)
             speedups_2w.append(speedup_2w)
             if baseline.raw_stall_cycles:

@@ -33,7 +33,7 @@ the event's iterative unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,6 +133,20 @@ class HazardModel:
     def run(self, events: Iterable[TraceEvent]) -> HazardReport:
         """Execute ``events`` (a Trace, a ColumnBatch or any event
         iterable, consumed once) and report its timing."""
+        return self.run_widths(events, (self.issue_width,))[0]
+
+    def run_widths(
+        self, events: Iterable[TraceEvent], widths: Sequence[int]
+    ) -> List[HazardReport]:
+        """One report per issue width in ``widths``, as :meth:`run`
+        would give for each on a fresh bank and hierarchy.
+
+        Latencies, hits and the cache walk do not depend on the issue
+        width, so phase 1 runs once -- the bank and the hierarchy see
+        the trace once -- and only the issue recurrence repeats."""
+        for width in widths:
+            if width < 1:
+                raise ValueError(f"issue width must be >= 1, got {width}")
         batch = _columns(events)
         bank = self.bank
         # Phase 1: every event's latency (a hit costs the hit latency)
@@ -147,27 +161,28 @@ class HazardModel:
         # A hit aborts the iterative unit: the event does not occupy it.
         units = _ITERATIVE_UNIT[batch.views().opcode]
         units[hits] = -1
-        # Phase 2: the issue recurrence over plain columns.
-        total, raw, structural = _issue(
-            latencies.tolist(),
-            units.tolist(),
-            *_dependency_slots(batch),
-            issue_width=self.issue_width,
+        columns = (latencies.tolist(), units.tolist()) + _dependency_slots(
+            batch
         )
-        report = HazardReport(
-            machine=self.machine.name,
-            issue_width=self.issue_width,
-            instructions=len(batch),
-            total_cycles=total,
-            raw_stall_cycles=raw,
-            structural_stall_cycles=structural,
-            issue_slots_used=len(batch),
+        hit_ratios = (
+            {op: unit.hit_ratio for op, unit in bank.units.items()}
+            if bank is not None else {}
         )
-        if bank is not None:
-            report.hit_ratios = {
-                op: unit.hit_ratio for op, unit in bank.units.items()
-            }
-        return report
+        reports = []
+        for width in widths:
+            # Phase 2: the issue recurrence over plain columns.
+            total, raw, structural = _issue(*columns, issue_width=width)
+            reports.append(HazardReport(
+                machine=self.machine.name,
+                issue_width=width,
+                instructions=len(batch),
+                total_cycles=total,
+                raw_stall_cycles=raw,
+                structural_stall_cycles=structural,
+                issue_slots_used=len(batch),
+                hit_ratios=dict(hit_ratios),
+            ))
+        return reports
 
 
 def _columns(events) -> ColumnBatch:

@@ -38,6 +38,14 @@ KERNEL_FAULTS: Dict[str, str] = {
         "a miss inserts under the previous probe's tag (a stale tag "
         "latch), corrupting future lookups"
     ),
+    "mantissa_tag_keeps_exponent": (
+        "mantissa-only tables tag float operands with their full bit "
+        "patterns, so operands differing only in sign or exponent miss"
+    ),
+    "integrated_trivial_as_bypass": (
+        "INTEGRATED trivial operations are charged as EXCLUDE bypasses, "
+        "dropping trivial_hits and the memoized machine's hit latency"
+    ),
     "speculate_guard_false_pass": (
         "the speculative region guard always passes, committing a "
         "trained region plan even when the operand sequence changed"

@@ -26,11 +26,14 @@ from repro.core import kernel
 from repro.core.bank import MemoTableBank
 from repro.core.config import (
     MemoTableConfig,
+    OperandKind,
     ReplacementKind,
     TagMode,
     TrivialPolicy,
 )
+from repro.core.memo_table import InfiniteMemoTable
 from repro.core.operations import Operation
+from repro.core.unit import MemoizedUnit
 from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import OPCODE_LIST, Opcode
 from repro.isa.programs import PROGRAMS
@@ -385,35 +388,91 @@ def test_partition_operands_decode_like_events(opcode):
     ]
 
 
-#: name -> (bank factory, whether the vectorized fast tier must engage;
-#: "int": only for the integer units, whose tags are always full).
+def _paper_bank(policy=TrivialPolicy.EXCLUDE, **config):
+    """A bank of every operation over one small finite table config."""
+    return lambda: MemoTableBank.paper_baseline(
+        config=MemoTableConfig(**config), operations=ALL_OPERATIONS,
+        trivial_policy=policy,
+    )
+
+
+def _infinite_bank(tag_mode):
+    """Infinite tables for every operation; integer units keep full tags
+    (as :class:`MemoizedUnit` forces for table configs)."""
+    def make():
+        return MemoTableBank({
+            op: MemoizedUnit(op, table=InfiniteMemoTable(
+                operand_kind=op.operand_kind,
+                tag_mode=(tag_mode if op.operand_kind is OperandKind.FLOAT
+                          else TagMode.FULL),
+                commutative=op.commutative,
+            ))
+            for op in ALL_OPERATIONS
+        })
+    return make
+
+
+#: name -> bank factory.  Every one of these configurations must take
+#: the vectorized fast tier for each type-homogeneous partition.
 OUTCOME_TIERS = {
-    "lru": (lambda: MemoTableBank.paper_baseline(
-        config=MemoTableConfig(entries=8, associativity=2),
-        operations=ALL_OPERATIONS), True),
-    "fifo": (lambda: MemoTableBank.paper_baseline(
-        config=MemoTableConfig(entries=8, associativity=4,
-                               replacement=ReplacementKind.FIFO),
-        operations=ALL_OPERATIONS), True),
-    "random": (lambda: MemoTableBank.paper_baseline(
-        config=MemoTableConfig(entries=8, associativity=2,
-                               replacement=ReplacementKind.RANDOM, seed=3),
-        operations=ALL_OPERATIONS), True),
-    "infinite": (lambda: MemoTableBank.infinite(
-        operations=ALL_OPERATIONS), True),
-    "mantissa": (lambda: MemoTableBank.paper_baseline(
-        config=MemoTableConfig(entries=8, associativity=2,
-                               tag_mode=TagMode.MANTISSA),
-        operations=ALL_OPERATIONS), "int"),
-    "cache-all": (lambda: MemoTableBank.paper_baseline(
-        config=MemoTableConfig(entries=8, associativity=2),
-        operations=ALL_OPERATIONS,
-        trivial_policy=TrivialPolicy.CACHE_ALL), False),
-    "integrated": (lambda: MemoTableBank.paper_baseline(
-        config=MemoTableConfig(entries=8, associativity=2),
-        operations=ALL_OPERATIONS,
-        trivial_policy=TrivialPolicy.INTEGRATED), False),
+    "lru": _paper_bank(entries=8, associativity=2),
+    "fifo": _paper_bank(entries=8, associativity=4,
+                        replacement=ReplacementKind.FIFO),
+    "random": _paper_bank(entries=8, associativity=2,
+                          replacement=ReplacementKind.RANDOM, seed=3),
+    "infinite": lambda: MemoTableBank.infinite(operations=ALL_OPERATIONS),
+    "mantissa": _paper_bank(entries=8, associativity=2,
+                            tag_mode=TagMode.MANTISSA),
+    "cache-all": _paper_bank(TrivialPolicy.CACHE_ALL,
+                             entries=8, associativity=2),
+    "integrated": _paper_bank(TrivialPolicy.INTEGRATED,
+                              entries=8, associativity=2),
+    "infinite-mantissa": _infinite_bank(TagMode.MANTISSA),
+    "fifo-cache-all": _paper_bank(TrivialPolicy.CACHE_ALL,
+                                  entries=8, associativity=4,
+                                  replacement=ReplacementKind.FIFO),
+    "random-integrated": _paper_bank(TrivialPolicy.INTEGRATED,
+                                     entries=8, associativity=2,
+                                     replacement=ReplacementKind.RANDOM,
+                                     seed=1),
+    "mantissa-integrated": _paper_bank(TrivialPolicy.INTEGRATED,
+                                       entries=8, associativity=2,
+                                       tag_mode=TagMode.MANTISSA),
+    "mantissa-cache-all": _paper_bank(TrivialPolicy.CACHE_ALL,
+                                      entries=8, associativity=2,
+                                      tag_mode=TagMode.MANTISSA),
 }
+
+
+def _sign_exponent_trace():
+    """FMUL/FDIV pairs whose operands share mantissas but differ in sign
+    and exponent -- including commutative reversed matches that only
+    mantissa tags see -- plus +-0.0 and NaN operands, which are trivial
+    (zeros) or never trivial (NaN) and so reach the table under
+    CACHE_ALL."""
+    nan = float("nan")
+    pairs = [
+        (1.25, 1.75), (-3.5, 2.5), (7.0, -0.625), (1.75, 1.25),
+        (0.0, 2.0), (-0.0, 2.0), (2.0, -0.0), (-0.0, 0.0), (0.0, -8.0),
+        (nan, 2.0), (2.0, nan), (-nan, 4.0), (nan, nan), (1.5, 2.0),
+        (3.0, -1.0), (-6.0, 0.5), (1.0, 1.0), (-1.0, 0.0),
+    ]
+    events = []
+    for op in (Opcode.FMUL, Opcode.FDIV):
+        for a, b in pairs:
+            events.append(TraceEvent(op, a, b, 0.0))
+    return events + events[::-1]
+
+
+def _fast_probes(events):
+    """The fast-tier calls :meth:`TestPerEventOutcomes._check` makes
+    when every partition of ``events`` is vectorized: two per partition
+    (with and without ``outcomes``)."""
+    return [
+        operation
+        for operation, *_ in _partitions(events)
+        for _ in range(2)
+    ]
 
 
 class TestPerEventOutcomes:
@@ -460,31 +519,46 @@ class TestPerEventOutcomes:
 
     @pytest.mark.parametrize("tier", list(OUTCOME_TIERS))
     def test_edge_trace(self, tier, monkeypatch):
-        make_bank, fast = OUTCOME_TIERS[tier]
-        fast_calls = self._check(_edge_trace(), make_bank,
+        events = _edge_trace()
+        fast_calls = self._check(events, OUTCOME_TIERS[tier],
                                  monkeypatch=monkeypatch)
-        int_ops = {Operation.INT_MUL, Operation.INT_DIV}
-        if fast == "int":
-            assert set(fast_calls) == int_ops
-        else:
-            assert bool(fast_calls) == fast
+        assert fast_calls == _fast_probes(events)
+
+    @pytest.mark.parametrize("tier", list(OUTCOME_TIERS))
+    def test_sign_exponent_trace(self, tier, monkeypatch):
+        events = _sign_exponent_trace()
+        fast_calls = self._check(events, OUTCOME_TIERS[tier],
+                                 monkeypatch=monkeypatch)
+        assert fast_calls == _fast_probes(events)
+
+    def test_mantissa_tags_see_reversed_sign_exponent_hits(self):
+        bank = OUTCOME_TIERS["mantissa-cache-all"]()
+        for operation, a, b, _, np_a, np_b in _partitions(
+            _sign_exponent_trace()
+        ):
+            kernel.probe_batch(bank.units[operation], a, b,
+                               _np_a=np_a, _np_b=np_b)
+        fmul = bank.units[Operation.FP_MUL].stats
+        assert fmul.trivial > 0
+        assert fmul.table.lookups == fmul.operations
+        assert fmul.table.commutative_hits > 0
 
     @pytest.mark.parametrize("tier", list(OUTCOME_TIERS))
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_bundled_programs(self, traces, name, tier):
-        self._check(traces[name].events, OUTCOME_TIERS[tier][0])
+        self._check(traces[name].events, OUTCOME_TIERS[tier])
 
     def test_validate_run(self):
         events = _edge_trace() + [
             TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
             TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
         ]
-        self._check(events, OUTCOME_TIERS["lru"][0], validate=True)
+        self._check(events, OUTCOME_TIERS["lru"], validate=True)
 
     @pytest.mark.parametrize("tier", ["lru", "infinite", "integrated"])
     def test_mixed_and_wide_partitions(self, tier, monkeypatch):
         fast_calls = self._check(
-            _mixed_and_wide_trace(), OUTCOME_TIERS[tier][0],
+            _mixed_and_wide_trace(), OUTCOME_TIERS[tier],
             monkeypatch=monkeypatch,
         )
         # Mixed and wide partitions cannot take the vectorized tier.
@@ -509,3 +583,33 @@ class TestPerEventOutcomes:
             for unit in bank.units.values()
         )
         assert _bank_fingerprint(bank) == _bank_fingerprint(cycle_bank)
+
+
+@pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
+@pytest.mark.parametrize("experiment", ["table9", "table10"])
+def test_policy_and_tag_tables_never_loop_unit_execute(
+    experiment, backend, monkeypatch
+):
+    """Table 9's trivial policies and Table 10's mantissa tags take the
+    vectorized tier: no event reaches the per-event ``unit.execute``
+    loop, so a silent fallback cannot hide behind equal results."""
+    from repro.experiments import common, table9, table10
+
+    calls = []
+    execute = MemoizedUnit.execute
+
+    def counting(self, a, b=0.0):
+        calls.append(self.operation)
+        return execute(self, a, b)
+
+    monkeypatch.setattr(MemoizedUnit, "execute", counting)
+    image = common.DEFAULT_IMAGE_SET[:1]
+    with execution.use_backend(backend):
+        if experiment == "table9":
+            result = table9.run(scale=0.02, images=image,
+                                apps=table9.TABLE9_APPS[:1])
+        else:
+            result = table10.run(scale=0.02, images=image,
+                                 mm_kernels=table10.TABLE7_ORDER[:1])
+    assert result.rows
+    assert calls == []

@@ -148,6 +148,35 @@ class TestMemoizationEffects:
         assert dual["memo_ipc"] >= scalar["memo_ipc"] - 1e-9
 
 
+class TestRunWidths:
+    def _bank(self):
+        return MemoTableBank.paper_baseline(
+            operations=(Operation.FP_MUL, Operation.FP_DIV),
+            latencies=SLOW_DESIGN.latencies(),
+        )
+
+    def test_matches_one_fresh_run_per_width(self, small_image):
+        recorder = OperationRecorder()
+        run_kernel("vgauss", recorder, small_image)
+        trace = recorder.trace
+        shared = self._bank()
+        reports = HazardModel(SLOW_DESIGN, bank=shared).run_widths(
+            trace, (1, 2, 3)
+        )
+        for width, report in zip((1, 2, 3), reports):
+            bank = self._bank()
+            alone = HazardModel(
+                SLOW_DESIGN, bank=bank, issue_width=width
+            ).run(trace)
+            assert report == alone
+            # The shared bank saw the trace once, like each fresh one.
+            assert shared.stats() == bank.stats()
+
+    def test_widths_validated(self):
+        with pytest.raises(ValueError):
+            HazardModel(FAST_DESIGN).run_widths([_div(9.0, 7.0)], (1, 0))
+
+
 class TestStallAccounting:
     def test_stall_fraction_bounded(self, small_image):
         recorder = OperationRecorder()
